@@ -44,12 +44,7 @@ pub enum Scope {
     All,
     /// Exactly the listed files.
     Files(&'static [&'static str]),
-    /// Every file except the listed ones.
-    AllExceptFiles(&'static [&'static str]),
-    /// Only files under the listed crate names (the segment after
-    /// `crates/`).
-    Crates(&'static [&'static str]),
-    /// Every crate except the listed ones.
+    /// Every crate except the listed ones (the segment after `crates/`).
     AllExceptCrates(&'static [&'static str]),
     /// Union scope: files under any listed crate, plus the listed
     /// individual files (e.g. the serve crate *and* `tensor/src/par.rs`).
@@ -67,8 +62,6 @@ impl Scope {
         match self {
             Scope::All => true,
             Scope::Files(fs) => fs.contains(&rel),
-            Scope::AllExceptFiles(fs) => !fs.contains(&rel),
-            Scope::Crates(cs) => cs.contains(&crate_of(rel)),
             Scope::AllExceptCrates(cs) => !cs.contains(&crate_of(rel)),
             Scope::CratesOrFiles { crates, files } => {
                 crates.contains(&crate_of(rel)) || files.contains(&rel)

@@ -2,4 +2,8 @@
 
 pub fn report(x: f64) {
     println!("x = {x}");
+    print!("x = {x}");
+    eprintln!("x = {x}");
+    eprint!("x = {x}");
+    dbg!(x);
 }

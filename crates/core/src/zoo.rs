@@ -20,12 +20,12 @@ impl Scale {
     /// Reads the scale from the `PV_SCALE` environment variable
     /// (`smoke` / `quick` / `full`), defaulting to `Quick`.
     pub fn from_env() -> Self {
-        // pv-analyze: allow(nondet-experiment) -- PV_SCALE is an explicit experimenter override read once at startup; the resolved scale is recorded in every config
-        match std::env::var("PV_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "PV_SCALE is an explicit experimenter override; the resolved scale is recorded in every config"
+        )]
+        let scale = std::env::var("PV_SCALE").unwrap_or_default();
+        match scale.to_lowercase().as_str() {
             "smoke" => Scale::Smoke,
             "full" => Scale::Full,
             _ => Scale::Quick,

@@ -1,11 +1,11 @@
 //! Injected time sources.
 //!
 //! The workspace bans wall-clock reads outside this module's
-//! [`MonotonicClock`] and the `cli`/`bench` edges (the pv-analyze
-//! `wallclock-outside-obs` and `nondet-experiment` rules), so experiment
-//! code stays bit-for-bit deterministic. Anything that wants to *measure*
-//! time — the tracer, the profiler, a benchmark — receives a [`Clock`]
-//! instead of calling `Instant::now()` itself:
+//! [`MonotonicClock`] and the `cli`/`bench` edges (`disallowed-methods`
+//! in `crates/clippy.toml`), so experiment code stays bit-for-bit
+//! deterministic. Anything that wants to *measure* time — the tracer, the
+//! profiler, a benchmark — receives a [`Clock`] instead of calling
+//! `Instant::now()` itself:
 //!
 //! * [`MonotonicClock`] wraps `std::time::Instant` and is constructed once
 //!   at the CLI/bench edge;
@@ -39,9 +39,12 @@ pub struct MonotonicClock {
 impl MonotonicClock {
     /// A clock whose origin is "now".
     pub fn new() -> Self {
-        Self {
-            origin: Instant::now(),
-        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "MonotonicClock is the Clock seam's one wall-clock read"
+        )]
+        let origin = Instant::now();
+        Self { origin }
     }
 }
 

@@ -5,8 +5,9 @@
 //! workspace needs to see inside its own hot loops — how long each prune
 //! cycle trains, whether the pv-ckpt cache is actually hitting, where
 //! matmul time goes — without giving up the determinism contract enforced
-//! by pv-analyze (`nondet-experiment` bans `Instant::now()` in experiment
-//! crates). pv-obs squares that circle with **clock injection**:
+//! by clippy (`crates/clippy.toml` bans `Instant::now()` in every library
+//! crate but this one). pv-obs squares that circle with **clock
+//! injection**:
 //!
 //! * a [`Clock`] trait supplies time; [`MonotonicClock`] is constructed
 //!   once at the CLI/bench edge, [`FakeClock`] drives tests so traces are

@@ -1,11 +1,11 @@
 //! The serving layer's sanctioned thread-spawn seam.
 //!
 //! The workspace bans `std::thread` creation outside `pv-tensor::par`
-//! (the `thread-outside-par` lint), because fork–join data parallelism
-//! must stay bitwise thread-count-invariant. A server is the one other
-//! legitimate home for threads — long-lived acceptor/worker/connection
-//! loops that *coordinate* rather than compute — so this module is the
-//! second (and last) file in the lint's exception list. Every thread in
+//! (`disallowed-methods` in `crates/clippy.toml`), because fork–join data
+//! parallelism must stay bitwise thread-count-invariant. A server is the
+//! one other legitimate home for threads — long-lived acceptor/worker/
+//! connection loops that *coordinate* rather than compute — so this
+//! module holds the ban's only other `#[expect]`. Every thread in
 //! pv-serve is created through [`spawn`], which names the thread for
 //! debuggability and keeps the audit surface to a single call site.
 //!
@@ -25,6 +25,10 @@ pub fn spawn<F>(name: &str, f: F) -> JoinHandle<()>
 where
     F: FnOnce() + Send + 'static,
 {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pv-serve's one thread-spawn seam: named, long-lived service threads"
+    )]
     std::thread::Builder::new()
         .name(format!("pv-serve/{name}"))
         .spawn(f)

@@ -78,9 +78,6 @@ pub struct ServerConfig {
     /// Hot-reload hook: maps the `reload` control argument to a fresh
     /// registry. `None` makes `reload` answer `BadRequest`.
     pub reload: Option<ReloadFn>,
-    /// Chaos hook: requests for this model id panic inside the worker,
-    /// exercising the fault boundary (tests and fault drills only).
-    pub fault_model: Option<String>,
 }
 
 impl std::fmt::Debug for ServerConfig {
@@ -95,7 +92,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("max_inflight_per_conn", &self.max_inflight_per_conn)
             .field("allow_control", &self.allow_control)
             .field("reload", &self.reload.as_ref().map(|_| "<handler>"))
-            .field("fault_model", &self.fault_model)
             .finish()
     }
 }
@@ -112,7 +108,6 @@ impl Default for ServerConfig {
             max_inflight_per_conn: 32,
             allow_control: true,
             reload: None,
-            fault_model: None,
         }
     }
 }
@@ -301,7 +296,7 @@ fn worker_loop(queue: &JobQueue, shared: &SharedRegistry, cfg: &ServerConfig, cl
         pv_obs::histogram_ns("serve/batch_size", batch.len() as u64);
         let t0 = clock.now_ns();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_batch(&mut models, &batch, cfg)
+            execute_batch(&mut models, &batch)
         }));
         pv_obs::histogram_ns("serve/batch_exec_ns", clock.now_ns().saturating_sub(t0));
         match outcome {
@@ -342,14 +337,9 @@ fn worker_loop(queue: &JobQueue, shared: &SharedRegistry, cfg: &ServerConfig, cl
 fn execute_batch(
     models: &mut std::collections::BTreeMap<String, crate::registry::ModelEntry>,
     batch: &[Job],
-    cfg: &ServerConfig,
 ) -> Result<Vec<Tensor>> {
     // pv-analyze: allow(lib-panic) -- next_batch never returns an empty batch
     let model_id = &batch.first().expect("non-empty batch").model;
-    if cfg.fault_model.as_deref() == Some(model_id.as_str()) {
-        // pv-analyze: allow(lib-panic) -- deliberate chaos hook; the panic is caught by the worker's fault boundary
-        panic!("injected fault for model '{model_id}'");
-    }
     let entry = models
         .get_mut(model_id)
         .ok_or_else(|| Error::Serve(format!("model '{model_id}' vanished from the registry")))?;

@@ -411,7 +411,14 @@ fn default_from(env: Option<&str>) -> &'static dyn Backend {
 ///
 /// Panics on the first call if `PV_BACKEND` names an unknown backend.
 pub fn process_default() -> &'static dyn Backend {
-    *PROCESS_DEFAULT.get_or_init(|| default_from(std::env::var("PV_BACKEND").ok().as_deref()))
+    *PROCESS_DEFAULT.get_or_init(|| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "PV_BACKEND picks the process-default backend once; every backend is bitwise equal"
+        )]
+        let env = std::env::var("PV_BACKEND");
+        default_from(env.ok().as_deref())
+    })
 }
 
 std::thread_local! {

@@ -20,9 +20,12 @@
 //! * [`matmul`] / [`matmul_at_b`] / [`matmul_a_bt`] — the three dense
 //!   products required by a linear layer and its backward pass; on the
 //!   packed backend they are routed per problem shape by [`fn@select`]
-//!   through BLIS-style packed panels ([`pack`]) and a register
-//!   microkernel ([`microkernel`]), bitwise identical to the scalar
-//!   backend;
+//!   through BLIS-style packed panels and an [`MR`]`×`[`NR`] register
+//!   microkernel, bitwise identical to the scalar backend. The packing,
+//!   microkernel and selector modules are private: only the shape
+//!   queries ([`fn@select`], [`select_matvec`], [`Routine`], [`Variant`])
+//!   and the tile geometry are public, so every caller goes through a
+//!   [`Backend`];
 //! * [`conv2d_forward`] / [`conv2d_backward`] and pooling — im2col-based
 //!   convolution with exact gradients, composed from each backend's own
 //!   GEMMs;
@@ -57,12 +60,12 @@ pub mod backend;
 pub mod conv;
 pub mod error;
 pub mod linalg;
-pub mod microkernel;
-pub mod pack;
+mod microkernel;
+mod pack;
 pub mod par;
 pub mod profile;
 pub mod rng;
-pub mod select;
+mod select;
 pub mod sparse;
 pub mod stats;
 pub mod tensor;
@@ -78,7 +81,8 @@ pub use conv::{
 };
 pub use error::Error;
 pub use linalg::{matmul, matmul_a_bt, matmul_at_b, matvec};
+pub use microkernel::{MR, NR, NR_NARROW};
 pub use rng::Rng;
-pub use select::{select, Routine, Variant};
+pub use select::{select, select_matvec, Routine, Variant};
 pub use sparse::{Csr, DEFAULT_MAX_DENSITY};
 pub use tensor::Tensor;

@@ -13,10 +13,11 @@
 //! * the **packed** pipeline (`gemm`) behind
 //!   [`crate::backend::PackedBackend`]:
 //!   1. [`fn@crate::select`] picks a routine for the problem shape;
-//!   2. [`crate::pack`] copies operands into contiguous register panels
-//!      (per-flavour gather, shared layout);
-//!   3. [`crate::microkernel`] computes each `MR × NR` output tile over
-//!      the **full** `k` extent with one register accumulator per element.
+//!   2. the private `pack` module copies operands into contiguous
+//!      register panels (per-flavour gather, shared layout);
+//!   3. the private `microkernel` module computes each `MR × NR` output
+//!      tile over the **full** `k` extent with one register accumulator
+//!      per element.
 //!
 //! Because `k` is never split, every output element is produced by the
 //! same single ascending-`k` fused-multiply-add chain as the scalar
@@ -35,53 +36,6 @@ use crate::pack::{pack_a_cols, pack_a_rows, pack_b_cols, pack_b_rows};
 use crate::par::{parallel_for_chunks_mut, worker_count};
 use crate::select::{select, select_matvec, Routine, Variant};
 use crate::tensor::Tensor;
-
-/// Deprecated free-function aliases for the scalar oracle.
-///
-/// The oracle is now a first-class backend —
-/// [`crate::backend::ScalarBackend`] — whose methods time and route like
-/// any other backend's. These wrappers keep pre-backend call sites
-/// compiling; they forward to the same scalar bodies the backend uses, so
-/// results remain bitwise identical either way.
-pub mod reference {
-    use crate::tensor::Tensor;
-
-    /// Oracle for [`matmul`](super::matmul): `C = A·B`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use pv_tensor::SCALAR.matmul (the ScalarBackend)"
-    )]
-    pub fn matmul_ref(a: &Tensor, b: &Tensor) -> Tensor {
-        super::scalar_matmul(a, b)
-    }
-
-    /// Oracle for [`matmul_at_b`](super::matmul_at_b): `C = Aᵀ·B`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use pv_tensor::SCALAR.matmul_at_b (the ScalarBackend)"
-    )]
-    pub fn matmul_at_b_ref(a: &Tensor, b: &Tensor) -> Tensor {
-        super::scalar_matmul_at_b(a, b)
-    }
-
-    /// Oracle for [`matmul_a_bt`](super::matmul_a_bt): `C = A·Bᵀ`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use pv_tensor::SCALAR.matmul_a_bt (the ScalarBackend)"
-    )]
-    pub fn matmul_a_bt_ref(a: &Tensor, b: &Tensor) -> Tensor {
-        super::scalar_matmul_a_bt(a, b)
-    }
-
-    /// Oracle for [`matvec`](super::matvec): `y = A·x`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use pv_tensor::SCALAR.matvec (the ScalarBackend)"
-    )]
-    pub fn matvec_ref(a: &Tensor, x: &Tensor) -> Tensor {
-        super::scalar_matvec(a, x)
-    }
-}
 
 /// Shape-checks one `C = A·B` problem and returns `(m, k, n)`.
 ///
@@ -619,17 +573,6 @@ mod tests {
                 "{m}x{n}"
             );
         }
-    }
-
-    #[test]
-    fn deprecated_reference_wrappers_still_forward() {
-        #![allow(deprecated)]
-        let mut rng = Rng::new(25);
-        let a = Tensor::rand_uniform(&[6, 5], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform(&[5, 4], -1.0, 1.0, &mut rng);
-        assert_eq!(reference::matmul_ref(&a, &b), scalar_matmul(&a, &b));
-        let x = Tensor::rand_uniform(&[5], -1.0, 1.0, &mut rng);
-        assert_eq!(reference::matvec_ref(&a, &x), scalar_matvec(&a, &x));
     }
 
     #[test]

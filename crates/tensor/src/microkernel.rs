@@ -14,7 +14,8 @@
 //! ```
 //!
 //! — the same single ascending-`k` chain, with the same fused
-//! multiply-add rounding, as [`crate::linalg::reference`]. That is what
+//! multiply-add rounding, as the scalar bodies behind
+//! [`crate::backend::ScalarBackend`]. That is what
 //! makes the packed routines bitwise identical to the scalar oracle (and
 //! therefore to themselves at any thread count or block size; see
 //! `DESIGN.md` §12). The working set per call is `(MR + nr) * k` floats of

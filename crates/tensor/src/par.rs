@@ -56,7 +56,12 @@ const REDUCE_CHUNK: usize = 64;
 
 fn env_threads() -> usize {
     *ENV_THREADS.get_or_init(|| {
-        if let Ok(v) = std::env::var("PV_NUM_THREADS") {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "PV_NUM_THREADS only sizes the pool; results are bitwise thread-count-invariant"
+        )]
+        let env = std::env::var("PV_NUM_THREADS");
+        if let Ok(v) = env {
             if let Ok(n) = v.trim().parse::<usize>() {
                 if n >= 1 {
                     return n;
@@ -147,6 +152,10 @@ where
         next_chunk += chunks_per_worker;
         rest = tail;
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pv-par is the sanctioned home of scoped worker threads"
+    )]
     std::thread::scope(|s| {
         for (first_chunk, part) in parts {
             let f = &f;
@@ -206,6 +215,10 @@ pub fn parallel_for_chunks_mut2<A, B, F>(
         rest_a = ta;
         rest_b = tb;
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pv-par is the sanctioned home of scoped worker threads"
+    )]
     std::thread::scope(|s| {
         for (first_chunk, pa, pb) in parts {
             let f = &f;
@@ -258,6 +271,10 @@ where
         .map(|w| (w * per_worker, ((w + 1) * per_worker).min(n)))
         .collect();
     let mut out: Vec<R> = Vec::with_capacity(n);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pv-par is the sanctioned home of scoped worker threads"
+    )]
     std::thread::scope(|s| {
         let handles: Vec<_> = ranges
             .into_iter()
@@ -307,6 +324,10 @@ where
         rest = tail;
     }
     let mut out: Vec<R> = Vec::with_capacity(n);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pv-par is the sanctioned home of scoped worker threads"
+    )]
     std::thread::scope(|s| {
         let handles: Vec<_> = parts
             .into_iter()

@@ -16,11 +16,10 @@
 //! the packed dot kernel — so every zero-padded panel edge and partial
 //! tile store is exercised, at 1, 2, and 7 threads.
 
-use pv_tensor::microkernel::{MR, NR, NR_NARROW};
 use pv_tensor::par::set_thread_override;
-use pv_tensor::select::select_matvec;
 use pv_tensor::{
-    all_backends, select, with_backend, Backend, ConvGeometry, Routine, Variant, SCALAR,
+    all_backends, select, select_matvec, with_backend, Backend, ConvGeometry, Routine, Variant, MR,
+    NR, NR_NARROW, SCALAR,
 };
 use pv_tensor::{Rng, Tensor};
 use std::sync::Mutex;
@@ -285,30 +284,6 @@ fn free_functions_dispatch_through_scoped_backend() {
         let got = with_backend(*be, || pv_tensor::matmul(&a, &b));
         assert_eq!(got, want, "{}", be.name());
     }
-}
-
-/// The deprecated free-function oracle names must keep compiling and
-/// forwarding to the same scalar bodies the backend uses.
-#[test]
-#[allow(deprecated)]
-fn deprecated_reference_wrappers_match_scalar_backend() {
-    use pv_tensor::linalg::reference;
-    let mut rng = Rng::new(19);
-    let a = Tensor::rand_uniform(&[9, 8], -1.0, 1.0, &mut rng);
-    let b = Tensor::rand_uniform(&[8, 7], -1.0, 1.0, &mut rng);
-    assert_eq!(reference::matmul_ref(&a, &b), SCALAR.matmul(&a, &b));
-    let at = Tensor::rand_uniform(&[8, 9], -1.0, 1.0, &mut rng);
-    assert_eq!(
-        reference::matmul_at_b_ref(&at, &b),
-        SCALAR.matmul_at_b(&at, &b)
-    );
-    let bt = Tensor::rand_uniform(&[7, 8], -1.0, 1.0, &mut rng);
-    assert_eq!(
-        reference::matmul_a_bt_ref(&a, &bt),
-        SCALAR.matmul_a_bt(&a, &bt)
-    );
-    let x = Tensor::rand_uniform(&[8], -1.0, 1.0, &mut rng);
-    assert_eq!(reference::matvec_ref(&a, &x), SCALAR.matvec(&a, &x));
 }
 
 /// The grid is only a property suite if it actually routes through every

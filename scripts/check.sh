@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (all targets, -D warnings)"
+echo "==> cargo clippy (all targets, -D warnings; call bans from crates/clippy.toml)"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 echo "==> tier-1: cargo build --release && cargo test -q (PV_BACKEND=packed)"
@@ -50,6 +50,24 @@ for rule in hotpath-panic hotpath-alloc lock-discipline unchecked-frame-arith pr
         exit 1
     fi
 done
+
+echo "==> clippy call bans self-test: every path in crates/clippy.toml fires on its seeded call"
+# The seeded crate is its own workspace under crates/, so clippy reads
+# crates/clippy.toml for it; it must fail and name every banned path.
+if BANS_OUT=$(cargo clippy -q --manifest-path crates/analyze/tests/clippy_bans/Cargo.toml \
+    --target-dir target/clippy-bans -- -D warnings 2>&1); then
+    echo "ERROR: clippy accepted the seeded call-ban crate" >&2
+    exit 1
+fi
+for path in $(grep -oE 'path = "[^"]+"' crates/clippy.toml | cut -d'"' -f2); do
+    if ! grep -qF "\`$path\`" <<<"$BANS_OUT"; then
+        echo "ERROR: clippy did not flag the seeded $path call" >&2
+        exit 1
+    fi
+done
+
+echo "==> bench-e2e compiles and its own tests pass (the benchmark imports pv-tensor and pv-serve)"
+cargo test -q --manifest-path bench-e2e/Cargo.toml
 
 echo "==> numeric sanitizer smoke test (pv-nn --features sanitize)"
 cargo test -q -p pv-nn --features sanitize

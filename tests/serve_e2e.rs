@@ -8,16 +8,16 @@
 //! * admission errors (`UnknownModel`, shape mismatches) are answered as
 //!   typed statuses without touching a worker;
 //! * a full admission queue answers `Busy` instead of queueing unboundedly;
-//! * an injected worker panic fails only its own batch — the server keeps
-//!   answering afterwards;
+//! * a worker panic (from a model whose layer panics in `forward`) fails
+//!   only its own batch — the server keeps answering afterwards;
 //! * the loadgen harness measures a healthy server as all-`Ok`.
 
-use pv_nn::{models, Mode};
+use pv_nn::{models, Layer, Mode, Network, Param, PrunableLayer, Sequential, ShapeReport};
 use pv_serve::{
     loadgen, serve, BatchConfig, Client, LoadgenConfig, ModelRegistry, ServerConfig, Status,
 };
 use pv_tensor::par::set_thread_override;
-use pv_tensor::{Rng, Tensor};
+use pv_tensor::{Error, Rng, Tensor};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -138,19 +138,66 @@ fn unknown_model_and_bad_shape_are_typed_rejections() {
     handle.shutdown();
 }
 
+/// A layer that passes shape inference but panics in `forward`, so a
+/// model built from it drives the worker into its fault boundary.
+#[derive(Clone)]
+struct PanickingLayer;
+
+impl Layer for PanickingLayer {
+    fn forward(&mut self, _x: &Tensor, _mode: Mode) -> Tensor {
+        panic!("injected fault in forward");
+    }
+
+    fn backward(&mut self, _grad_out: &Tensor) -> Tensor {
+        unreachable!("serving never runs backward");
+    }
+
+    fn infer_shape(&self, input: &[usize], report: &mut ShapeReport) -> Result<Vec<usize>, Error> {
+        let out = vec![CLASSES];
+        report.push(self.describe(), input, &out);
+        Ok(out)
+    }
+
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+
+    fn visit_prunable(&mut self, _f: &mut dyn FnMut(&mut dyn PrunableLayer)) {}
+
+    fn flops_per_sample(&self) -> u64 {
+        0
+    }
+
+    fn describe(&self) -> String {
+        "panicking".to_string()
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
 #[test]
 fn injected_worker_fault_fails_only_its_batch() {
-    let mut handle = quick_server(ServerConfig {
-        fault_model: Some("pruned".into()),
-        ..ServerConfig::default()
-    });
+    let mut reg = registry();
+    let mut root = Sequential::new();
+    root.push(Box::new(PanickingLayer));
+    reg.insert(
+        "faulty",
+        Network::new("faulty", root, vec![IN_DIM], CLASSES),
+    )
+    .expect("faulty admits: its shapes check out");
+    let mut handle = serve(
+        reg,
+        ServerConfig::default(),
+        Arc::new(pv_obs::MonotonicClock::new()),
+    )
+    .expect("server starts");
     let addr = handle.addr().to_string();
     let mut client = Client::connect(&addr, Duration::from_secs(10)).expect("connect");
 
-    // request to the chaos model: its worker panics, the fault boundary
+    // request to the faulty model: its worker panics, the fault boundary
     // converts that into an Internal response
     let resp = client
-        .request("pruned", &sample(3))
+        .request("faulty", &sample(3))
         .expect("transport fine");
     assert_eq!(resp.status, Status::Internal);
 
