@@ -34,7 +34,7 @@ fn main() {
     let mut sw = Stopwatch::new();
     train(&mut parent, &x, &y, &tc, None);
     sw.lap("parent training");
-    let parent_err = eval_error_pct(&mut parent, &test_set);
+    let parent_err = eval_error_pct(&parent, &test_set);
     println!("parent test error: {parent_err:.2}%\n");
 
     let target = 0.85;
@@ -51,12 +51,12 @@ fn main() {
     ] {
         let mut no_retrain = parent.clone();
         method.prune(&mut no_retrain, target, &ctx);
-        let err_no = eval_error_pct(&mut no_retrain, &test_set);
+        let err_no = eval_error_pct(&no_retrain, &test_set);
 
         let pipeline = PruneRetrain::new(cfg.cycles, tc.clone());
         let outcome = pipeline.run(&parent, method, target, &x, &y, &ctx);
-        let mut with_retrain = outcome.network;
-        let err_with = eval_error_pct(&mut with_retrain, &test_set);
+        let with_retrain = outcome.network;
+        let err_with = eval_error_pct(&with_retrain, &test_set);
         println!(
             "  {label}: no-retrain error {err_no:6.2}%  vs  prune-retrain {err_with:6.2}%  \
              (retraining recovers {:.2} points)",
@@ -73,8 +73,8 @@ fn main() {
     for cycles in [1usize, 2, cfg.cycles] {
         let pipeline = PruneRetrain::new(cycles, tc.clone());
         let outcome = pipeline.run(&parent, &WeightThresholding, target, &x, &y, &ctx);
-        let mut net = outcome.network;
-        let err = eval_error_pct(&mut net, &test_set);
+        let net = outcome.network;
+        let err = eval_error_pct(&net, &test_set);
         println!(
             "  {cycles} cycle(s): achieved PR {:.1}%, error {err:6.2}%",
             100.0 * outcome.prune_ratio
@@ -95,16 +95,16 @@ fn main() {
     ];
     for (what, informed, random) in pairs {
         let pipeline = PruneRetrain::new(cfg.cycles, tc.clone());
-        let mut informed_net = pipeline
+        let informed_net = pipeline
             .run(&parent, informed, target, &x, &y, &ctx)
             .network;
-        let mut random_net = pipeline.run(&parent, random, target, &x, &y, &ctx).network;
-        let err_informed = eval_error_pct(&mut informed_net, &test_set);
-        let err_random = eval_error_pct(&mut random_net, &test_set);
+        let random_net = pipeline.run(&parent, random, target, &x, &y, &ctx).network;
+        let err_informed = eval_error_pct(&informed_net, &test_set);
+        let err_random = eval_error_pct(&random_net, &test_set);
         // also compare under a shift
         let shifted = Distribution::Noise(0.2).realize(&cfg.task, &test_set, 3);
-        let shift_informed = eval_error_pct(&mut informed_net, &shifted);
-        let shift_random = eval_error_pct(&mut random_net, &shifted);
+        let shift_informed = eval_error_pct(&informed_net, &shifted);
+        let shift_random = eval_error_pct(&random_net, &shifted);
         println!(
             "  {what}: {} {err_informed:6.2}% vs {} {err_random:6.2}%  \
              (under noise: {shift_informed:6.2}% vs {shift_random:6.2}%)",

@@ -63,13 +63,12 @@ fn bench_prune_methods(c: &mut Criterion) {
 }
 
 fn bench_backselect(c: &mut Criterion) {
-    let mut net = models::mlp("m", 64, &[32], 4, false, 5);
+    let net = models::mlp("m", 64, &[32], 4, false, 5);
     let mut rng = Rng::new(6);
     let img = Tensor::rand_uniform(&[1, 64], 0.0, 1.0, &mut rng);
     c.bench_function("backselect one-shot 64px", |bencher| {
-        bencher.iter(|| {
-            std::hint::black_box(backselect_order(&mut net, &img, 0, SelectionMode::OneShot))
-        })
+        bencher
+            .iter(|| std::hint::black_box(backselect_order(&net, &img, 0, SelectionMode::OneShot)))
     });
 }
 

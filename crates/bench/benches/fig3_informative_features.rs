@@ -48,7 +48,7 @@ fn main() {
         }
         models.push(("separate".to_string(), family.separate.clone()));
 
-        let hm = confidence_heatmap(&mut models, &images, &labels, 0.10, mode);
+        let hm = confidence_heatmap(&models, &images, &labels, 0.10, mode);
         println!(
             "\n  method {} ({mode:?}, {n_images} images):",
             method.name()

@@ -25,7 +25,7 @@ fn main() {
     let methods: [&dyn PruneMethod; 3] = [&WeightThresholding, &Sipp, &FilterThresholding];
     let mut sw = Stopwatch::new();
     for method in methods {
-        let mut family = build_family_cached(&cfg, method, 0, None);
+        let family = build_family_cached(&cfg, method, 0, None);
         sw.lap(&format!("{} family", method.name()));
         let images = inputs_for(&family.parent, &family.test_set);
 
@@ -37,8 +37,8 @@ fn main() {
         others.push(("separate".to_string(), family.separate.clone()));
 
         let sweeps = similarity_sweep(
-            &mut family.parent,
-            &mut others,
+            &family.parent,
+            &others,
             &images,
             &noise_levels(),
             repeats,

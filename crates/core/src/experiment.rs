@@ -55,7 +55,7 @@ pub fn inputs_for(net: &Network, ds: &Dataset) -> Tensor {
 }
 
 /// Test error (%) of a network on a dataset.
-pub fn eval_error_pct(net: &mut Network, ds: &Dataset) -> f64 {
+pub fn eval_error_pct(net: &Network, ds: &Dataset) -> f64 {
     let x = inputs_for(net, ds);
     net.test_error_pct(&x, ds.labels(), EVAL_BATCH)
 }
@@ -359,11 +359,12 @@ impl StudyFamily {
     ///
     /// The whole `(model × distribution)` grid runs in parallel: datasets
     /// are realized concurrently ([`Distribution::realize`] is seed-pure),
-    /// parent errors are scored with per-worker parent clones, and each
-    /// pruned model evaluates every distribution on its own worker.
-    /// Eval-mode forwards are pure, so every grid cell is independent and
-    /// the curves are identical to the serial per-distribution sweep.
-    pub fn curves_on(&mut self, dists: &[Distribution], eval_seed: u64) -> Vec<PruneAccuracyCurve> {
+    /// the parent is scored on each distribution by its own worker, and
+    /// each pruned model evaluates every distribution on its own worker,
+    /// all of them borrowing the family's networks. Every grid cell is
+    /// independent, so the curves are identical to the serial
+    /// per-distribution sweep.
+    pub fn curves_on(&self, dists: &[Distribution], eval_seed: u64) -> Vec<PruneAccuracyCurve> {
         if dists.is_empty() {
             return Vec::new();
         }
@@ -371,16 +372,14 @@ impl StudyFamily {
         let (task, test_set) = (&self.task, &self.test_set);
         let datasets: Vec<Dataset> =
             par::parallel_map(dists.len(), |i| dists[i].realize(task, test_set, eval_seed));
-        let parent = &self.parent;
-        let unpruned: Vec<f64> = par::parallel_map_with(
-            datasets.len(),
-            || parent.clone(),
-            |net, i| eval_error_pct(net, &datasets[i]),
-        );
-        let grid: Vec<Vec<(f64, f64)>> = par::parallel_map_mut(&mut self.pruned, |_, pm| {
+        let unpruned: Vec<f64> = par::parallel_map(datasets.len(), |i| {
+            eval_error_pct(&self.parent, &datasets[i])
+        });
+        let grid: Vec<Vec<(f64, f64)>> = par::parallel_map(self.pruned.len(), |i| {
+            let pm = &self.pruned[i];
             datasets
                 .iter()
-                .map(|ds| (pm.achieved_ratio, eval_error_pct(&mut pm.network, ds)))
+                .map(|ds| (pm.achieved_ratio, eval_error_pct(&pm.network, ds)))
                 .collect()
         });
         (0..dists.len())
@@ -530,7 +529,7 @@ pub fn overparameterization_study(
     robust: Option<&RobustTraining<'_>>,
 ) -> OverparamMeasurement {
     let per_rep: Vec<([f64; 2], [f64; 2])> = par::parallel_map(cfg.repetitions, |rep| {
-        let mut family = build_family(cfg, method, rep, robust);
+        let family = build_family(cfg, method, rep, robust);
         let eval_seed = cfg.rep_seed(rep) ^ 0xE7A1;
         let delta = cfg.delta_pct;
         let train_p: Vec<f64> = family
@@ -612,7 +611,7 @@ mod tests {
         assert_eq!(fam.parent.prune_ratio(), 0.0);
         assert!((fam.pruned[2].achieved_ratio - 0.875).abs() < 0.02);
         // parent learned the task well
-        let err = eval_error_pct(&mut fam.parent, &fam.test_set.clone());
+        let err = eval_error_pct(&fam.parent, &fam.test_set.clone());
         assert!(err < 25.0, "parent test error {err}%");
     }
 

@@ -2,7 +2,7 @@
 //! informative pixels, and the cross-model confidence heatmaps of the
 //! paper's Figure 3 / Figures 12–15.
 
-use pv_nn::{Mode, Network};
+use pv_nn::Network;
 use pv_tensor::par;
 use pv_tensor::Tensor;
 
@@ -67,8 +67,8 @@ pub fn apply_pixel_mask(image: &Tensor, keep: &[bool]) -> Tensor {
 }
 
 /// Softmax confidence of `net` toward `class` on a single image (`[1, ...]`).
-pub fn confidence(net: &mut Network, image: &Tensor, class: usize) -> f32 {
-    let probs = net.forward(image, Mode::Eval).softmax_rows();
+pub fn confidence(net: &Network, image: &Tensor, class: usize) -> f32 {
+    let probs = net.infer(image).softmax_rows();
     probs.at2(0, class)
 }
 
@@ -83,7 +83,7 @@ pub fn confidence(net: &mut Network, image: &Tensor, class: usize) -> f32 {
 ///
 /// Panics if `image` is not a single sample (`[1, ...]`).
 pub fn backselect_order(
-    net: &mut Network,
+    net: &Network,
     image: &Tensor,
     class: usize,
     mode: SelectionMode,
@@ -112,7 +112,7 @@ pub fn backselect_order(
                     }
                 }
             }
-            let probs = net.forward(&batch, Mode::Eval).softmax_rows();
+            let probs = net.infer(&batch).softmax_rows();
             let mut scored: Vec<(usize, f32)> =
                 (0..n_pixels).map(|p| (p, probs.at2(p, class))).collect();
             // high remaining confidence after masking = uninformative pixel;
@@ -150,7 +150,7 @@ pub fn backselect_order(
                         }
                     }
                 }
-                let probs = net.forward(&batch, Mode::Eval).softmax_rows();
+                let probs = net.infer(&batch).softmax_rows();
                 let mut best_row = 0;
                 for r in 1..remaining.len() {
                     if probs.at2(r, class) > probs.at2(best_row, class) {
@@ -229,12 +229,12 @@ impl ConfidenceHeatmap {
 ///
 /// `keep_frac` is the fraction of pixels retained (the paper keeps 10%).
 ///
-/// Images are processed in parallel, each worker holding its own clone of
-/// the model set; per-image confidence contributions are folded into the
+/// Images are processed in parallel, every worker borrowing the whole
+/// model set; per-image confidence contributions are folded into the
 /// matrix in image order, so the result is bitwise identical for any
 /// thread count.
 pub fn confidence_heatmap(
-    models: &mut [(String, Network)],
+    models: &[(String, Network)],
     images: &Tensor,
     true_labels: &[usize],
     keep_frac: f64,
@@ -243,37 +243,22 @@ pub fn confidence_heatmap(
     assert_eq!(images.dim(0), true_labels.len(), "label count mismatch");
     let n_models = models.len();
     let n_images = images.dim(0);
-    let shared = &*models;
-    let contributions: Vec<Vec<f64>> = par::parallel_map_with(
-        n_images,
-        || {
-            shared
-                .iter()
-                .map(|(_, net)| net.clone())
-                .collect::<Vec<Network>>()
-        },
-        |workers, img_idx| {
-            let image = images.slice_first_axis(img_idx, img_idx + 1);
-            let true_class = true_labels[img_idx];
-            let mut contrib = vec![0.0f64; n_models * n_models];
-            // generator i picks its informative subset
-            for i in 0..n_models {
-                let masked = {
-                    let gen = &mut workers[i];
-                    let predicted = gen.predict(&image)[0];
-                    let order = backselect_order(gen, &image, predicted, mode);
-                    let keep = keep_top_fraction(&order, keep_frac);
-                    apply_pixel_mask(&image, &keep)
-                };
-                // all models evaluate the masked image
-                for j in 0..n_models {
-                    contrib[i * n_models + j] =
-                        f64::from(confidence(&mut workers[j], &masked, true_class));
-                }
+    let contributions: Vec<Vec<f64>> = par::parallel_map(n_images, |img_idx| {
+        let image = images.slice_first_axis(img_idx, img_idx + 1);
+        let true_class = true_labels[img_idx];
+        let mut contrib = vec![0.0f64; n_models * n_models];
+        // generator i picks its informative subset
+        for (i, (_, gen)) in models.iter().enumerate() {
+            let predicted = gen.predict(&image)[0];
+            let order = backselect_order(gen, &image, predicted, mode);
+            let masked = apply_pixel_mask(&image, &keep_top_fraction(&order, keep_frac));
+            // all models evaluate the masked image
+            for (j, (_, eval)) in models.iter().enumerate() {
+                contrib[i * n_models + j] = f64::from(confidence(eval, &masked, true_class));
             }
-            contrib
-        },
-    );
+        }
+        contrib
+    });
     let mut matrix = vec![vec![0.0f64; n_models]; n_models];
     for contrib in contributions {
         for i in 0..n_models {
@@ -301,11 +286,11 @@ mod tests {
 
     #[test]
     fn order_is_a_permutation() {
-        let mut net = models::mlp("m", 16, &[16], 3, false, 1);
+        let net = models::mlp("m", 16, &[16], 3, false, 1);
         let mut rng = Rng::new(2);
         let img = Tensor::rand_uniform(&[1, 16], 0.0, 1.0, &mut rng);
         for mode in [SelectionMode::OneShot, SelectionMode::Greedy] {
-            let order = backselect_order(&mut net, &img, 0, mode);
+            let order = backselect_order(&net, &img, 0, mode);
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "{mode:?}");
@@ -330,9 +315,9 @@ mod tests {
         });
         let img = Tensor::from_vec(vec![1, 8], vec![0.5; 8]);
         let class = net.predict(&img)[0];
-        let order = backselect_order(&mut net, &img, class, SelectionMode::Greedy);
+        let order = backselect_order(&net, &img, class, SelectionMode::Greedy);
         assert_eq!(*order.last().expect("nonempty"), 3, "order {order:?}");
-        let one_shot = backselect_order(&mut net, &img, class, SelectionMode::OneShot);
+        let one_shot = backselect_order(&net, &img, class, SelectionMode::OneShot);
         assert_eq!(*one_shot.last().expect("nonempty"), 3);
     }
 
@@ -348,10 +333,10 @@ mod tests {
 
     #[test]
     fn works_on_conv_images() {
-        let mut net = models::mini_resnet("r", (1, 8, 8), 3, 2, 1, 4);
+        let net = models::mini_resnet("r", (1, 8, 8), 3, 2, 1, 4);
         let mut rng = Rng::new(5);
         let img = Tensor::rand_uniform(&[1, 1, 8, 8], 0.0, 1.0, &mut rng);
-        let order = backselect_order(&mut net, &img, 0, SelectionMode::OneShot);
+        let order = backselect_order(&net, &img, 0, SelectionMode::OneShot);
         assert_eq!(order.len(), 64);
         let keep = keep_top_fraction(&order, 0.1);
         let masked = apply_pixel_mask(&img, &keep);
@@ -364,19 +349,13 @@ mod tests {
     fn heatmap_diagonal_dominates_for_identical_models() {
         let mut rng = Rng::new(6);
         let base = models::mlp("m", 16, &[16], 3, false, 7);
-        let mut models_vec = vec![
+        let models_vec = vec![
             ("a".to_string(), base.clone()),
             ("b".to_string(), base.clone()),
         ];
         let images = Tensor::rand_uniform(&[3, 16], 0.0, 1.0, &mut rng);
         let labels = vec![0, 1, 2];
-        let hm = confidence_heatmap(
-            &mut models_vec,
-            &images,
-            &labels,
-            0.25,
-            SelectionMode::OneShot,
-        );
+        let hm = confidence_heatmap(&models_vec, &images, &labels, 0.25, SelectionMode::OneShot);
         assert_eq!(hm.matrix.len(), 2);
         // identical models must agree exactly
         assert!((hm.matrix[0][0] - hm.matrix[0][1]).abs() < 1e-6);

@@ -6,7 +6,7 @@
 //! softmax outputs.
 
 use pv_data::linf_noise;
-use pv_nn::{Mode, Network};
+use pv_nn::Network;
 use pv_tensor::par;
 use pv_tensor::{Rng, Tensor};
 
@@ -26,17 +26,17 @@ pub struct NoiseSimilarity {
 /// With `eps = 0` this degenerates to a clean-data comparison.
 ///
 /// The noisy batches are drawn serially from `rng` (preserving its
-/// stream), then the repeats are evaluated in parallel, each worker using
-/// its own clones of the two networks. Per-repeat partial sums are
-/// combined in repeat order by both the serial and parallel paths, so the
-/// result is bitwise identical for any thread count.
+/// stream), then the repeats are evaluated in parallel, every worker
+/// running both borrowed networks. Per-repeat partial sums are combined
+/// in repeat order by both the serial and parallel paths, so the result
+/// is bitwise identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `images` is empty or `repeats == 0`.
 pub fn noise_similarity(
-    a: &mut Network,
-    b: &mut Network,
+    a: &Network,
+    b: &Network,
     images: &Tensor,
     eps: f32,
     repeats: usize,
@@ -47,29 +47,24 @@ pub fn noise_similarity(
     assert!(repeats > 0, "need at least one noise repetition");
     let n = images.dim(0);
     let noisy: Vec<Tensor> = (0..repeats).map(|_| linf_noise(images, eps, rng)).collect();
-    let (a0, b0) = (&*a, &*b);
-    let partials: Vec<(usize, f64)> = par::parallel_map_with(
-        repeats,
-        || (a0.clone(), b0.clone()),
-        |(wa, wb), rep| {
-            let pa = wa.forward(&noisy[rep], Mode::Eval).softmax_rows();
-            let pb = wb.forward(&noisy[rep], Mode::Eval).softmax_rows();
-            let la = pa.argmax_rows();
-            let lb = pb.argmax_rows();
-            let matches = la.iter().zip(&lb).filter(|(x, y)| x == y).count();
-            let mut l2 = 0.0f64;
-            for r in 0..n {
-                let d: f32 = pa
-                    .row(r)
-                    .iter()
-                    .zip(pb.row(r))
-                    .map(|(&x, &y)| (x - y) * (x - y))
-                    .sum();
-                l2 += f64::from(d.sqrt());
-            }
-            (matches, l2)
-        },
-    );
+    let partials: Vec<(usize, f64)> = par::parallel_map(repeats, |rep| {
+        let pa = a.infer(&noisy[rep]).softmax_rows();
+        let pb = b.infer(&noisy[rep]).softmax_rows();
+        let la = pa.argmax_rows();
+        let lb = pb.argmax_rows();
+        let matches = la.iter().zip(&lb).filter(|(x, y)| x == y).count();
+        let mut l2 = 0.0f64;
+        for r in 0..n {
+            let d: f32 = pa
+                .row(r)
+                .iter()
+                .zip(pb.row(r))
+                .map(|(&x, &y)| (x - y) * (x - y))
+                .sum();
+            l2 += f64::from(d.sqrt());
+        }
+        (matches, l2)
+    });
     let mut match_count = 0usize;
     let mut l2_sum = 0.0f64;
     for (matches, l2) in partials {
@@ -102,37 +97,31 @@ pub struct SimilaritySweep {
 /// Figure 4 comparison calls for: the pruned, separate, and clone networks
 /// are ranked against the reference on a common set of perturbed inputs,
 /// isolating the effect of the network rather than of the noise draw. The
-/// grid points are independent and evaluated in parallel (one cloned
-/// network pair per worker) with results in level order.
+/// grid points are independent and evaluated in parallel (every worker
+/// borrowing the same network pair) with results in level order.
 pub fn similarity_sweep(
-    reference: &mut Network,
-    others: &mut [(String, Network)],
+    reference: &Network,
+    others: &[(String, Network)],
     images: &Tensor,
     levels: &[f32],
     repeats: usize,
     seed: u64,
 ) -> Vec<SimilaritySweep> {
-    let reference = &*reference;
     others
-        .iter_mut()
+        .iter()
         .map(|(label, net)| {
             let _span = pv_obs::span_dyn("metrics", || format!("sweep/{label}"));
-            let net0 = &*net;
-            let points = par::parallel_map_with(
-                levels.len(),
-                || (reference.clone(), net0.clone()),
-                |(wr, wn), li| {
-                    let eps = levels[li];
-                    // shared deterministic noise per level: the seed varies
-                    // only with eps, so every comparison network is scored
-                    // on identical perturbations (see the function docs)
-                    let mut rng = Rng::new(seed ^ (u64::from(eps.to_bits()) << 1));
-                    (
-                        eps,
-                        noise_similarity(wr, wn, images, eps, repeats, &mut rng),
-                    )
-                },
-            );
+            let points = par::parallel_map(levels.len(), |li| {
+                let eps = levels[li];
+                // shared deterministic noise per level: the seed varies
+                // only with eps, so every comparison network is scored
+                // on identical perturbations (see the function docs)
+                let mut rng = Rng::new(seed ^ (u64::from(eps.to_bits()) << 1));
+                (
+                    eps,
+                    noise_similarity(reference, net, images, eps, repeats, &mut rng),
+                )
+            });
             SimilaritySweep {
                 label: label.clone(),
                 points,
@@ -148,30 +137,30 @@ mod tests {
 
     #[test]
     fn identical_networks_match_perfectly() {
-        let mut a = models::mlp("a", 8, &[16], 4, false, 1);
-        let mut b = a.clone();
+        let a = models::mlp("a", 8, &[16], 4, false, 1);
+        let b = a.clone();
         let mut rng = Rng::new(2);
         let x = Tensor::rand_uniform(&[16, 8], 0.0, 1.0, &mut rng);
-        let sim = noise_similarity(&mut a, &mut b, &x, 0.1, 3, &mut rng);
+        let sim = noise_similarity(&a, &b, &x, 0.1, 3, &mut rng);
         assert_eq!(sim.matching_predictions, 1.0);
         assert!(sim.softmax_l2 < 1e-6);
     }
 
     #[test]
     fn different_networks_are_less_similar() {
-        let mut a = models::mlp("a", 8, &[16], 4, false, 1);
-        let mut b = models::mlp("b", 8, &[16], 4, false, 99);
+        let a = models::mlp("a", 8, &[16], 4, false, 1);
+        let b = models::mlp("b", 8, &[16], 4, false, 99);
         let mut rng = Rng::new(3);
         let x = Tensor::rand_uniform(&[32, 8], 0.0, 1.0, &mut rng);
-        let sim = noise_similarity(&mut a, &mut b, &x, 0.05, 2, &mut rng);
+        let sim = noise_similarity(&a, &b, &x, 0.05, 2, &mut rng);
         assert!(sim.matching_predictions < 1.0);
         assert!(sim.softmax_l2 > 1e-4);
     }
 
     #[test]
     fn sweep_has_expected_shape() {
-        let mut reference = models::mlp("r", 8, &[8], 3, false, 5);
-        let mut others = vec![
+        let reference = models::mlp("r", 8, &[8], 3, false, 5);
+        let others = vec![
             ("clone".to_string(), reference.clone()),
             (
                 "separate".to_string(),
@@ -180,7 +169,7 @@ mod tests {
         ];
         let mut rng = Rng::new(6);
         let x = Tensor::rand_uniform(&[8, 8], 0.0, 1.0, &mut rng);
-        let sweeps = similarity_sweep(&mut reference, &mut others, &x, &[0.0, 0.1], 2, 7);
+        let sweeps = similarity_sweep(&reference, &others, &x, &[0.0, 0.1], 2, 7);
         assert_eq!(sweeps.len(), 2);
         assert_eq!(sweeps[0].points.len(), 2);
         // the clone should dominate the separately initialized network
@@ -196,26 +185,26 @@ mod tests {
 
     #[test]
     fn all_networks_at_a_level_share_the_noise_stream() {
-        let mut reference = models::mlp("r", 8, &[8], 3, false, 5);
-        let mut net_a = models::mlp("a", 8, &[8], 3, false, 21);
-        let mut net_b = models::mlp("b", 8, &[8], 3, false, 22);
+        let reference = models::mlp("r", 8, &[8], 3, false, 5);
+        let net_a = models::mlp("a", 8, &[8], 3, false, 21);
+        let net_b = models::mlp("b", 8, &[8], 3, false, 22);
         let mut rng = Rng::new(6);
         let x = Tensor::rand_uniform(&[8, 8], 0.0, 1.0, &mut rng);
         let levels = [0.05f32, 0.2];
         let seed = 11u64;
-        let mut others = vec![
+        let others = vec![
             ("a".to_string(), net_a.clone()),
             ("b".to_string(), net_b.clone()),
         ];
-        let sweeps = similarity_sweep(&mut reference, &mut others, &x, &levels, 2, seed);
+        let sweeps = similarity_sweep(&reference, &others, &x, &levels, 2, seed);
         // the sweep's RNG must depend on (seed, level) only: recomputing
         // each grid point with the level-derived stream — for *different*
         // networks — reproduces the sweep bitwise, proving every network
         // at a level consumed identical noise
         for (li, &eps) in levels.iter().enumerate() {
-            for (sweep, net) in sweeps.iter().zip([&mut net_a, &mut net_b]) {
+            for (sweep, net) in sweeps.iter().zip([&net_a, &net_b]) {
                 let mut level_rng = Rng::new(seed ^ (u64::from(eps.to_bits()) << 1));
-                let expect = noise_similarity(&mut reference, net, &x, eps, 2, &mut level_rng);
+                let expect = noise_similarity(&reference, net, &x, eps, 2, &mut level_rng);
                 assert_eq!(
                     sweep.points[li].1, expect,
                     "network {} at eps {eps} saw different noise",
@@ -228,9 +217,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "repetition")]
     fn zero_repeats_panics() {
-        let mut a = models::mlp("a", 4, &[4], 2, false, 1);
-        let mut b = a.clone();
+        let a = models::mlp("a", 4, &[4], 2, false, 1);
+        let b = a.clone();
         let x = Tensor::zeros(&[1, 4]);
-        noise_similarity(&mut a, &mut b, &x, 0.1, 0, &mut Rng::new(1));
+        noise_similarity(&a, &b, &x, 0.1, 0, &mut Rng::new(1));
     }
 }

@@ -28,8 +28,8 @@ fn greedy_and_oneshot_agree_on_linear_models() {
         });
         let img = Tensor::rand_uniform(&[1, 12], 0.2, 1.0, &mut rng);
         let class = net.predict(&img)[0];
-        let greedy = backselect_order(&mut net, &img, class, SelectionMode::Greedy);
-        let oneshot = backselect_order(&mut net, &img, class, SelectionMode::OneShot);
+        let greedy = backselect_order(&net, &img, class, SelectionMode::Greedy);
+        let oneshot = backselect_order(&net, &img, class, SelectionMode::OneShot);
         assert_eq!(
             greedy.last(),
             oneshot.last(),
@@ -40,30 +40,30 @@ fn greedy_and_oneshot_agree_on_linear_models() {
 
 #[test]
 fn keeping_everything_preserves_confidence() {
-    let mut net = models::mlp("m", 16, &[8], 3, false, 2);
+    let net = models::mlp("m", 16, &[8], 3, false, 2);
     let mut rng = Rng::new(3);
     let img = Tensor::rand_uniform(&[1, 16], 0.0, 1.0, &mut rng);
     let class = net.predict(&img)[0];
-    let base = confidence(&mut net, &img, class);
-    let order = backselect_order(&mut net, &img, class, SelectionMode::OneShot);
+    let base = confidence(&net, &img, class);
+    let order = backselect_order(&net, &img, class, SelectionMode::OneShot);
     let keep = keep_top_fraction(&order, 1.0);
     let masked = apply_pixel_mask(&img, &keep);
     assert_eq!(masked, img);
-    assert_eq!(confidence(&mut net, &masked, class), base);
+    assert_eq!(confidence(&net, &masked, class), base);
 }
 
 #[test]
 fn informative_subset_beats_anti_subset() {
     // keeping the top-25% informative pixels should preserve more
     // confidence than keeping the bottom-25%, on average over images
-    let mut net = models::mlp("m", 16, &[16], 3, false, 5);
+    let net = models::mlp("m", 16, &[16], 3, false, 5);
     let mut rng = Rng::new(6);
     let mut top_total = 0.0;
     let mut bottom_total = 0.0;
     for _ in 0..12 {
         let img = Tensor::rand_uniform(&[1, 16], 0.0, 1.0, &mut rng);
         let class = net.predict(&img)[0];
-        let order = backselect_order(&mut net, &img, class, SelectionMode::Greedy);
+        let order = backselect_order(&net, &img, class, SelectionMode::Greedy);
         let keep_top = keep_top_fraction(&order, 0.25);
         let keep_bottom: Vec<bool> = {
             // invert: keep the first-removed quarter instead
@@ -74,13 +74,9 @@ fn informative_subset_beats_anti_subset() {
             }
             v
         };
-        top_total += f64::from(confidence(
-            &mut net,
-            &apply_pixel_mask(&img, &keep_top),
-            class,
-        ));
+        top_total += f64::from(confidence(&net, &apply_pixel_mask(&img, &keep_top), class));
         bottom_total += f64::from(confidence(
-            &mut net,
+            &net,
             &apply_pixel_mask(&img, &keep_bottom),
             class,
         ));
@@ -101,10 +97,10 @@ fn heatmap_rows_index_generators() {
     let b = models::mlp("b", 9, &[12], 3, false, 20);
     let images = Tensor::rand_uniform(&[4, 9], 0.0, 1.0, &mut rng);
     let labels = vec![0, 1, 2, 0];
-    let mut ms1 = vec![("a".to_string(), a.clone()), ("b".to_string(), b.clone())];
-    let hm1 = confidence_heatmap(&mut ms1, &images, &labels, 0.3, SelectionMode::OneShot);
-    let mut ms2 = vec![("b".to_string(), b), ("a".to_string(), a)];
-    let hm2 = confidence_heatmap(&mut ms2, &images, &labels, 0.3, SelectionMode::OneShot);
+    let ms1 = vec![("a".to_string(), a.clone()), ("b".to_string(), b.clone())];
+    let hm1 = confidence_heatmap(&ms1, &images, &labels, 0.3, SelectionMode::OneShot);
+    let ms2 = vec![("b".to_string(), b), ("a".to_string(), a)];
+    let hm2 = confidence_heatmap(&ms2, &images, &labels, 0.3, SelectionMode::OneShot);
     // entry (a-row, a-col) must be invariant to ordering
     assert!((hm1.matrix[0][0] - hm2.matrix[1][1]).abs() < 1e-6);
     assert!((hm1.matrix[0][1] - hm2.matrix[1][0]).abs() < 1e-6);

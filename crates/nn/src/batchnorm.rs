@@ -75,72 +75,98 @@ impl BatchNormCore {
         self.cache = None;
     }
 
-    /// Forward pass on a `[rows, channels]` matrix.
+    /// Forward pass on a `[rows, channels]` matrix. Training mode
+    /// normalizes with the batch statistics, updates the running ones and
+    /// caches for backward; eval mode is [`BatchNormCore::eval_matrix`].
     ///
     /// # Panics
     ///
     /// Panics if `x` is not 2-D with `channels` columns, or (in training
     /// mode) has fewer than 2 rows.
     pub fn forward_matrix(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.ndim(), 2, "batch norm expects a matrix view");
-        let (rows, c) = (x.dim(0), x.dim(1));
-        assert_eq!(c, self.channels(), "channel count mismatch");
+        if !train {
+            return self.eval_matrix(x);
+        }
+        let (rows, c) = self.check_matrix(x);
+        assert!(
+            rows >= 2,
+            "batch norm needs at least 2 rows in training mode"
+        );
         let mut out = x.clone();
-        if train {
-            assert!(
-                rows >= 2,
-                "batch norm needs at least 2 rows in training mode"
-            );
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            let xd = x.data();
-            for r in 0..rows {
-                for (m, &v) in mean.iter_mut().zip(&xd[r * c..(r + 1) * c]) {
-                    *m += v;
-                }
-            }
-            let inv_rows = 1.0 / rows as f32;
-            for m in &mut mean {
-                *m *= inv_rows;
-            }
-            for r in 0..rows {
-                for j in 0..c {
-                    let d = xd[r * c + j] - mean[j];
-                    var[j] += d * d;
-                }
-            }
-            for v in &mut var {
-                *v *= inv_rows;
-            }
-            let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-            let od = out.data_mut();
-            for r in 0..rows {
-                for j in 0..c {
-                    od[r * c + j] = (od[r * c + j] - mean[j]) * inv_std[j];
-                }
-            }
-            // running statistics (unbiased variance, matching common practice)
-            let unbias = rows as f32 / (rows as f32 - 1.0);
-            for j in 0..c {
-                self.running_mean[j] =
-                    (1.0 - self.momentum) * self.running_mean[j] + self.momentum * mean[j];
-                self.running_var[j] =
-                    (1.0 - self.momentum) * self.running_var[j] + self.momentum * var[j] * unbias;
-            }
-            self.cache = Some(BnCache {
-                x_hat: out.clone(),
-                inv_std,
-            });
-        } else {
-            let od = out.data_mut();
-            for r in 0..rows {
-                for j in 0..c {
-                    let inv = 1.0 / (self.running_var[j] + self.eps).sqrt();
-                    od[r * c + j] = (od[r * c + j] - self.running_mean[j]) * inv;
-                }
+        let mut mean = vec![0.0f32; c];
+        let mut var = vec![0.0f32; c];
+        let xd = x.data();
+        for r in 0..rows {
+            for (m, &v) in mean.iter_mut().zip(&xd[r * c..(r + 1) * c]) {
+                *m += v;
             }
         }
-        // affine: y = γ·x̂ + β
+        let inv_rows = 1.0 / rows as f32;
+        for m in &mut mean {
+            *m *= inv_rows;
+        }
+        for r in 0..rows {
+            for j in 0..c {
+                let d = xd[r * c + j] - mean[j];
+                var[j] += d * d;
+            }
+        }
+        for v in &mut var {
+            *v *= inv_rows;
+        }
+        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
+        let od = out.data_mut();
+        for r in 0..rows {
+            for j in 0..c {
+                od[r * c + j] = (od[r * c + j] - mean[j]) * inv_std[j];
+            }
+        }
+        // running statistics (unbiased variance, matching common practice)
+        let unbias = rows as f32 / (rows as f32 - 1.0);
+        for j in 0..c {
+            self.running_mean[j] =
+                (1.0 - self.momentum) * self.running_mean[j] + self.momentum * mean[j];
+            self.running_var[j] =
+                (1.0 - self.momentum) * self.running_var[j] + self.momentum * var[j] * unbias;
+        }
+        self.cache = Some(BnCache {
+            x_hat: out.clone(),
+            inv_std,
+        });
+        self.affine_in_place(&mut out);
+        out
+    }
+
+    /// Eval-mode batch norm on a `[rows, channels]` matrix: normalizes with
+    /// the running statistics and applies the affine, writing nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not 2-D with `channels` columns.
+    pub fn eval_matrix(&self, x: &Tensor) -> Tensor {
+        let (rows, c) = self.check_matrix(x);
+        let mut out = x.clone();
+        let od = out.data_mut();
+        for r in 0..rows {
+            for j in 0..c {
+                let inv = 1.0 / (self.running_var[j] + self.eps).sqrt();
+                od[r * c + j] = (od[r * c + j] - self.running_mean[j]) * inv;
+            }
+        }
+        self.affine_in_place(&mut out);
+        out
+    }
+
+    /// `(rows, channels)` of a matrix view this batch norm accepts.
+    fn check_matrix(&self, x: &Tensor) -> (usize, usize) {
+        assert_eq!(x.ndim(), 2, "batch norm expects a matrix view");
+        assert_eq!(x.dim(1), self.channels(), "channel count mismatch");
+        (x.dim(0), x.dim(1))
+    }
+
+    /// `y = γ·x̂ + β` over a normalized `[rows, channels]` matrix.
+    fn affine_in_place(&self, out: &mut Tensor) {
+        let (rows, c) = (out.dim(0), out.dim(1));
         let g = self.gamma.value.data();
         let b = self.beta.value.data();
         let od = out.data_mut();
@@ -149,7 +175,6 @@ impl BatchNormCore {
                 od[r * c + j] = od[r * c + j] * g[j] + b[j];
             }
         }
-        out
     }
 
     /// Backward pass; must follow a training-mode forward.
@@ -301,9 +326,9 @@ mod tests {
         assert_eq!(bn.beta.value.data(), &[-2.0, -4.0]);
         // eval forward on the kept columns matches the full batch-norm
         let x = Tensor::randn(&[8, 4], 0.0, 1.0, &mut rng);
-        let y_full = full.clone().forward_matrix(&x, false);
+        let y_full = full.eval_matrix(&x);
         let x_kept = Tensor::from_fn(&[8, 2], |i| x.at2(i / 2, [1, 3][i % 2]));
-        let y_kept = bn.forward_matrix(&x_kept, false);
+        let y_kept = bn.eval_matrix(&x_kept);
         for r in 0..8 {
             assert_eq!(y_kept.at2(r, 0), y_full.at2(r, 1));
             assert_eq!(y_kept.at2(r, 1), y_full.at2(r, 3));

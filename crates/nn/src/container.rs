@@ -2,7 +2,7 @@
 //! connected blocks.
 
 use crate::convblock::ConvBlock;
-use crate::layer::{Layer, Mode, PrunableLayer};
+use crate::layer::{relu_gate, relu_in_place, Layer, Mode, PrunableLayer};
 use crate::param::Param;
 use crate::shape::ShapeReport;
 use pv_tensor::{concat_channels, slice_channels, Error, Tensor};
@@ -63,6 +63,16 @@ impl Layer for Sequential {
         let mut h = x.clone();
         for layer in &mut self.layers {
             h = layer.forward(&h, mode);
+            #[cfg(feature = "sanitize")]
+            crate::sanitize::check_finite("forward output", &layer.describe(), &h);
+        }
+        h
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let mut h = x.clone();
+        for layer in &self.layers {
+            h = layer.infer(&h);
             #[cfg(feature = "sanitize")]
             crate::sanitize::check_finite("forward output", &layer.describe(), &h);
         }
@@ -174,11 +184,21 @@ impl Layer for Residual {
             None => x.clone(),
         };
         let mut y = b.add(&s);
-        let mask = y.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+        let mask = y.map(relu_gate);
         y.mul_assign(&mask);
         if mode == Mode::Train {
             self.relu_mask = Some(mask);
         }
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let b = self.body.infer(x);
+        let mut y = match &self.shortcut {
+            Some(proj) => b.add(&proj.infer(x)),
+            None => b.add(x),
+        };
+        relu_in_place(&mut y);
         y
     }
 
@@ -327,6 +347,19 @@ impl Layer for DenseBlock {
             self.cache_features = Some(features);
         }
         out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let mut features: Vec<Tensor> = vec![x.clone()];
+        for layer in &self.layers {
+            let y = if features.len() == 1 {
+                layer.infer(&features[0])
+            } else {
+                layer.infer(&concat_channels(&features.iter().collect::<Vec<_>>()))
+            };
+            features.push(y);
+        }
+        concat_channels(&features.iter().collect::<Vec<_>>())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -3,10 +3,11 @@
 
 use crate::batchnorm::BatchNormCore;
 use crate::init::he_std;
-use crate::layer::{Layer, Mode, PrunableLayer, UnitKind};
+use crate::layer::{relu_gate, relu_in_place, Layer, Mode, PrunableLayer, UnitKind};
 use crate::param::{Param, ParamKind};
 use pv_tensor::{
-    conv2d_backward, conv2d_forward, matrix_to_nchw, nchw_to_matrix, ConvGeometry, Rng, Tensor,
+    conv2d_backward, conv2d_forward, im2col, matrix_to_nchw, nchw_to_matrix, ConvGeometry, Rng,
+    Tensor,
 };
 
 /// Cached state from a training-mode forward pass.
@@ -113,6 +114,20 @@ impl ConvBlock {
     pub fn out_hw(&self) -> (usize, usize) {
         self.geometry.output_size(self.in_hw.0, self.in_hw.1)
     }
+
+    /// Panics unless `x` is an NCHW batch with `in_channels` channels.
+    fn check_input(&self, x: &Tensor) {
+        assert_eq!(x.ndim(), 4, "ConvBlock expects NCHW input");
+        assert_eq!(x.dim(1), self.in_c, "channel mismatch in {}", self.label);
+    }
+}
+
+/// The data-informed sensitivity of SiPP/PFP at the receptive-field level:
+/// mean `|col_j|` over all output positions of the unfolded input `cols`.
+fn receptive_field_sensitivity(cols: &Tensor) -> Tensor {
+    let mut sens = cols.map(f32::abs).sum_rows();
+    sens.scale_in_place(1.0 / cols.dim(0) as f32);
+    sens
 }
 
 impl Layer for ConvBlock {
@@ -137,39 +152,48 @@ impl Layer for ConvBlock {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(x.ndim(), 4, "ConvBlock expects NCHW input");
-        assert_eq!(x.dim(1), self.in_c, "channel mismatch in {}", self.label);
+        self.check_input(x);
+        if mode == Mode::Eval {
+            self.input_sens = Some(receptive_field_sensitivity(&im2col(x, self.geometry)));
+            return self.infer(x);
+        }
         let (h, w) = (x.dim(2), x.dim(3));
         let fwd = conv2d_forward(x, &self.weight.value, &self.bias.value, self.geometry);
-
-        // data-informed sensitivity: mean |col_j| over all output positions,
-        // matching the `a(x)` term of SiPP/PFP at the receptive-field level
-        let rows = fwd.cols.dim(0) as f32;
-        let mut sens = fwd.cols.map(f32::abs).sum_rows();
-        sens.scale_in_place(1.0 / rows);
-        self.input_sens = Some(sens);
+        self.input_sens = Some(receptive_field_sensitivity(&fwd.cols));
 
         let mut y = fwd.output;
         let (n, oh, ow) = (y.dim(0), y.dim(2), y.dim(3));
         if let Some(bn) = &mut self.bn {
             let m = nchw_to_matrix(&y);
-            let m = bn.forward_matrix(&m, mode == Mode::Train);
+            let m = bn.forward_matrix(&m, true);
             y = matrix_to_nchw(&m, n, self.out_c, oh, ow);
         }
         let mut relu_mask = None;
         if self.relu {
-            let mask = y.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+            let mask = y.map(relu_gate);
             y.mul_assign(&mask);
             relu_mask = Some(mask);
         }
-        if mode == Mode::Train {
-            self.cache = Some(ConvCache {
-                cols: fwd.cols,
-                input_hw: (h, w),
-                relu_mask,
-                out_hw: (oh, ow),
-                batch: n,
-            });
+        self.cache = Some(ConvCache {
+            cols: fwd.cols,
+            input_hw: (h, w),
+            relu_mask,
+            out_hw: (oh, ow),
+            batch: n,
+        });
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.check_input(x);
+        let mut y = conv2d_forward(x, &self.weight.value, &self.bias.value, self.geometry).output;
+        if let Some(bn) = &self.bn {
+            let (n, oh, ow) = (y.dim(0), y.dim(2), y.dim(3));
+            let m = bn.eval_matrix(&nchw_to_matrix(&y));
+            y = matrix_to_nchw(&m, n, self.out_c, oh, ow);
+        }
+        if self.relu {
+            relu_in_place(&mut y);
         }
         y
     }

@@ -82,13 +82,22 @@ pub trait PrunableLayer {
 /// methods, statistics) reaches the parameters, which keeps containers free
 /// to nest arbitrarily.
 ///
-/// `Send + Sync` is a supertrait so a `&Network` can be shared across the
-/// `pv-par` worker threads that clone per-worker evaluation copies; layers
-/// are plain owned data, so every implementor satisfies it structurally.
+/// `Send + Sync` is a supertrait so one `&Network` can be shared by the
+/// `pv-par` workers of an evaluation sweep and by every serving worker,
+/// each calling [`Layer::infer`] on it; layers are plain owned data, so
+/// every implementor satisfies it structurally.
 pub trait Layer: Send + Sync {
     /// Computes the layer output. In `Train` mode the layer caches its
-    /// inputs/intermediates for the following `backward`.
+    /// inputs/intermediates for the following `backward`; in both modes a
+    /// prunable leaf records its input sensitivity. `Eval` mode returns
+    /// exactly what [`Layer::infer`] returns.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
+
+    /// The eval-mode forward pass through a shared reference: the bits of
+    /// `forward(x, Mode::Eval)`, with nothing cached and no sensitivity
+    /// recorded. Inference paths (evaluation sweeps, serving) call this;
+    /// only pruning needs the sensitivities `forward` writes.
+    fn infer(&self, x: &Tensor) -> Tensor;
 
     /// Propagates `grad_out` (gradient w.r.t. this layer's output) to the
     /// gradient w.r.t. its input, accumulating parameter gradients.
@@ -172,6 +181,23 @@ pub trait Layer: Send + Sync {
     /// Clones the layer behind a box (layers are used as trait objects, so
     /// `Clone` cannot be required directly).
     fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+/// ReLU as a multiply by this 0/1 gate (`1` where `v > 0`). A multiply
+/// keeps the sign of zero (`-3.0 * 0.0 == -0.0`) where `max(v, 0.0)` would
+/// not, so [`Layer::infer`], which gates in place, and training, which
+/// keeps the gate as its backward mask, produce the same bits.
+pub(crate) fn relu_gate(v: f32) -> f32 {
+    if v > 0.0 {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// Applies ReLU in place through [`relu_gate`].
+pub(crate) fn relu_in_place(y: &mut Tensor) {
+    y.map_in_place(|v| v * relu_gate(v));
 }
 
 impl Clone for Box<dyn Layer> {

@@ -3,7 +3,7 @@
 
 use crate::batchnorm::BatchNormCore;
 use crate::init::he_std;
-use crate::layer::{Layer, Mode, PrunableLayer, UnitKind};
+use crate::layer::{relu_gate, relu_in_place, Layer, Mode, PrunableLayer, UnitKind};
 use crate::param::{Param, ParamKind};
 use pv_tensor::{matmul, matmul_a_bt, matmul_at_b, Rng, Tensor};
 
@@ -125,6 +125,17 @@ impl LinearBlock {
         self.cache_relu_mask = None;
         self.input_sens = None;
     }
+
+    /// Panics unless `x` is an `[N, in_dim]` batch.
+    fn check_input(&self, x: &Tensor) {
+        assert_eq!(x.ndim(), 2, "LinearBlock expects [N, in] input");
+        assert_eq!(
+            x.dim(1),
+            self.in_dim(),
+            "input width mismatch in {}",
+            self.label
+        );
+    }
 }
 
 impl Layer for LinearBlock {
@@ -147,32 +158,38 @@ impl Layer for LinearBlock {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(x.ndim(), 2, "LinearBlock expects [N, in] input");
-        assert_eq!(
-            x.dim(1),
-            self.in_dim(),
-            "input width mismatch in {}",
-            self.label
-        );
+        self.check_input(x);
         // mean |x_j| over the batch: the data-informed sensitivity a(x)
         let mut sens = x.map(f32::abs).sum_rows();
         sens.scale_in_place(1.0 / x.dim(0) as f32);
         self.input_sens = Some(sens);
+        if mode == Mode::Eval {
+            return self.infer(x);
+        }
 
         let mut y = matmul_a_bt(x, &self.weight.value);
         y.add_row_broadcast(&self.bias.value);
         if let Some(bn) = &mut self.bn {
-            y = bn.forward_matrix(&y, mode == Mode::Train);
+            y = bn.forward_matrix(&y, true);
         }
-        if mode == Mode::Train {
-            self.cache_input = Some(x.clone());
+        self.cache_input = Some(x.clone());
+        if self.relu {
+            let mask = y.map(relu_gate);
+            y.mul_assign(&mask);
+            self.cache_relu_mask = Some(mask);
+        }
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.check_input(x);
+        let mut y = matmul_a_bt(x, &self.weight.value);
+        y.add_row_broadcast(&self.bias.value);
+        if let Some(bn) = &self.bn {
+            y = bn.eval_matrix(&y);
         }
         if self.relu {
-            let mask = y.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-            y.mul_assign(&mask);
-            if mode == Mode::Train {
-                self.cache_relu_mask = Some(mask);
-            }
+            relu_in_place(&mut y);
         }
         y
     }
@@ -328,6 +345,11 @@ mod tests {
         let x = Tensor::from_vec(vec![1, 2], vec![3.0, 0.0]);
         let y = l.forward(&x, Mode::Eval);
         assert_eq!(y.data(), &[3.0, 0.0]);
+        // the gate multiplies, so the negative pre-activation leaves -0.0,
+        // and infer must keep that sign exactly as forward does
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), vec![3.0f32.to_bits(), (-0.0f32).to_bits()]);
+        assert_eq!(bits(&l.infer(&x)), bits(&y));
     }
 
     #[test]

@@ -107,6 +107,26 @@ impl Network {
     /// Forward pass on a batch (first axis = batch), producing logits
     /// `[N, classes]`.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.check_input(x);
+        let out = self.root.forward(x, mode);
+        debug_assert_eq!(out.dim(1), self.num_classes);
+        out
+    }
+
+    /// The eval-mode forward pass through a shared reference
+    /// ([`Layer::infer`]): the bits of `forward(x, Mode::Eval)` without
+    /// recording pruning sensitivities, so one network can serve any
+    /// number of threads at once.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        self.check_input(x);
+        let out = self.root.infer(x);
+        debug_assert_eq!(out.dim(1), self.num_classes);
+        out
+    }
+
+    /// Panics unless `x` is a batch of the declared per-sample shape (and,
+    /// under `sanitize`, finite).
+    fn check_input(&self, x: &Tensor) {
         assert_eq!(
             &x.shape()[1..],
             self.input_shape.as_slice(),
@@ -115,21 +135,35 @@ impl Network {
         );
         #[cfg(feature = "sanitize")]
         crate::sanitize::check_finite("forward input", &self.name, x);
-        let out = self.root.forward(x, mode);
-        debug_assert_eq!(out.dim(1), self.num_classes);
-        out
     }
 
-    /// Fallible batched forward pass for untrusted inputs (the serving
-    /// path): where [`Network::forward`] panics on a malformed batch,
-    /// this validates first and reports a typed error, so a bad request
-    /// can never take down a server worker.
+    /// Fallible batched forward pass for untrusted inputs: where
+    /// [`Network::forward`] panics on a malformed batch, this validates
+    /// first and reports a typed error.
     ///
     /// # Errors
     ///
     /// Returns [`Error::ShapeMismatch`] when the batch is not
     /// `[N, input_shape...]` with `N ≥ 1`.
     pub fn try_forward_batch(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor, Error> {
+        self.check_batch(x)?;
+        Ok(self.forward(x, mode))
+    }
+
+    /// Fallible [`Network::infer`] for untrusted inputs (the serving
+    /// path): validates the batch first, so a bad request can never take
+    /// down a server worker.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] when the batch is not
+    /// `[N, input_shape...]` with `N ≥ 1`.
+    pub fn try_infer_batch(&self, x: &Tensor) -> Result<Tensor, Error> {
+        self.check_batch(x)?;
+        Ok(self.infer(x))
+    }
+
+    fn check_batch(&self, x: &Tensor) -> Result<(), Error> {
         if x.ndim() != self.input_shape.len() + 1
             || &x.shape()[1..] != self.input_shape.as_slice()
             || x.dim(0) == 0
@@ -140,7 +174,7 @@ impl Network {
                 actual: x.shape().to_vec(),
             });
         }
-        Ok(self.forward(x, mode))
+        Ok(())
     }
 
     /// Backward pass from the loss gradient w.r.t. the logits.
@@ -149,55 +183,47 @@ impl Network {
     }
 
     /// Predicted class labels for a batch.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        self.forward(x, Mode::Eval).argmax_rows()
+    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
+        self.infer(x).argmax_rows()
     }
 
     /// Classification accuracy on `(x, labels)`, evaluated in mini-batches
     /// of `batch` samples to bound memory.
     ///
     /// Mini-batches are scored in parallel when worker threads are
-    /// available (each worker predicts with its own clone of the network;
-    /// eval-mode forward is pure, so the per-batch predictions — and the
-    /// integer correct count — are identical to the serial sweep).
+    /// available, every worker predicting with this one network; the
+    /// per-batch predictions — and the integer correct count — are
+    /// identical to the serial sweep.
     ///
     /// # Panics
     ///
     /// Panics if `labels.len()` differs from the number of samples or
     /// `batch == 0`.
-    pub fn accuracy(&mut self, x: &Tensor, labels: &[usize], batch: usize) -> f64 {
+    pub fn accuracy(&self, x: &Tensor, labels: &[usize], batch: usize) -> f64 {
         assert_eq!(x.dim(0), labels.len(), "label count mismatch");
         assert!(batch > 0, "batch must be positive");
         let n = labels.len();
         if n == 0 {
             return 0.0;
         }
-        let n_batches = n.div_ceil(batch);
-        let score_batch = |net: &mut Network, bi: usize| -> usize {
+        let correct: usize = par::parallel_map(n.div_ceil(batch), |bi| {
             let start = bi * batch;
             let end = (start + batch).min(n);
-            let xb = x.slice_first_axis(start, end);
-            let preds = net.predict(&xb);
+            let preds = self.predict(&x.slice_first_axis(start, end));
             preds
                 .iter()
                 .zip(&labels[start..end])
                 .filter(|(p, l)| p == l)
                 .count()
-        };
-        let correct: usize = if n_batches > 1 && par::num_threads() > 1 {
-            let this = &*self;
-            par::parallel_map_with(n_batches, || this.clone(), score_batch)
-                .into_iter()
-                .sum()
-        } else {
-            (0..n_batches).map(|bi| score_batch(self, bi)).sum()
-        };
+        })
+        .into_iter()
+        .sum();
         correct as f64 / n as f64
     }
 
     /// Test error (1 − accuracy) in percent, the unit used throughout the
     /// paper's tables.
-    pub fn test_error_pct(&mut self, x: &Tensor, labels: &[usize], batch: usize) -> f64 {
+    pub fn test_error_pct(&self, x: &Tensor, labels: &[usize], batch: usize) -> f64 {
         100.0 * (1.0 - self.accuracy(x, labels, batch))
     }
 
@@ -540,7 +566,7 @@ mod tests {
     #[test]
     fn accuracy_batches_cover_everything() {
         let mut rng = Rng::new(4);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         let x = Tensor::rand_uniform(&[7, 4], -1.0, 1.0, &mut rng);
         let preds = net.predict(&x);
         let acc = net.accuracy(&x, &preds, 3); // batch smaller than n

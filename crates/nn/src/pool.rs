@@ -39,11 +39,16 @@ impl Layer for MaxPool {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let fwd = maxpool2d_forward(x, self.geometry);
-        if mode == Mode::Train {
-            self.cache = Some((fwd.argmax, x.shape().to_vec()));
+        if mode == Mode::Eval {
+            return self.infer(x);
         }
+        let fwd = maxpool2d_forward(x, self.geometry);
+        self.cache = Some((fwd.argmax, x.shape().to_vec()));
         fwd.output
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        maxpool2d_forward(x, self.geometry).output
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -101,6 +106,10 @@ impl Layer for GlobalAvgPool {
         if mode == Mode::Train {
             self.cache_hw = Some((x.dim(2), x.dim(3)));
         }
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         global_avg_pool_forward(x)
     }
 
@@ -165,6 +174,10 @@ impl Layer for Flatten {
         if mode == Mode::Train {
             self.cache_shape = Some(x.shape().to_vec());
         }
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         let n = x.dim(0);
         x.reshape(&[n, x.len() / n])
     }

@@ -41,6 +41,10 @@ impl Layer for NearestUpsample {
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.ndim(), 4, "NearestUpsample expects NCHW input");
         let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
         let f = self.factor;

@@ -7,9 +7,13 @@
 //! level, where dozens of kernel calls, batch-norm folds, and residual
 //! adds compose. Any backend that drifts by one ULP anywhere in the
 //! chain fails `assert_eq!` on the raw `f32` storage.
+//!
+//! The same file holds `Network::infer` to the eval-mode forward pass,
+//! bit for bit, under every backend and every serving configuration:
+//! dense, WT-pruned with CSR sidecars, and FT-pruned then compacted.
 
-use pv_nn::{models, Mode};
-use pv_tensor::{all_backends, with_backend, Rng, Tensor, SCALAR};
+use pv_nn::{models, Mode, Network, ParamKind};
+use pv_tensor::{all_backends, with_backend, Rng, Tensor, DEFAULT_MAX_DENSITY, SCALAR};
 
 /// Forward the same freshly seeded network under `backend` and return the
 /// logits. Each call rebuilds the network so running-stat mutation in one
@@ -63,5 +67,104 @@ fn training_step_is_bitwise_identical_across_backends() {
             "post-step logits diverged on the '{}' backend",
             be.name()
         );
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A batch-norm MLP whose running statistics have left their defaults.
+fn warmed_mlp(seed: u64) -> Network {
+    let mut net = models::mlp("mlp", 32, &[64, 48], 10, true, seed);
+    let x = Tensor::rand_uniform(&[16, 32], -1.0, 1.0, &mut Rng::new(seed + 1));
+    net.forward(&x, Mode::Train);
+    net
+}
+
+/// 95% of the weights masked by global magnitude, as WT prunes, with CSR
+/// sidecars built for every weight sparse enough for the CSR kernels.
+fn wt_pruned_with_csr() -> Network {
+    let mut net = warmed_mlp(3);
+    let mut magnitudes = Vec::new();
+    net.visit_params(&mut |p| {
+        if p.kind == ParamKind::Weight {
+            magnitudes.extend(p.value.data().iter().map(|v| v.abs()));
+        }
+    });
+    magnitudes.sort_by(f32::total_cmp);
+    let threshold = magnitudes[magnitudes.len() * 95 / 100];
+    net.visit_params(&mut |p| {
+        if p.kind == ParamKind::Weight {
+            p.set_mask(p.value.map(|v| f32::from(v.abs() >= threshold)));
+        }
+    });
+    assert!(
+        net.prepare_sparse(DEFAULT_MAX_DENSITY) > 0,
+        "no CSR sidecar"
+    );
+    net
+}
+
+/// Half of every hidden layer's neurons removed by smallest weight-row
+/// norm, as FT prunes, then physically compacted away.
+fn ft_pruned_compacted() -> Network {
+    let mut net = warmed_mlp(4);
+    net.visit_prunable(&mut |l| {
+        if l.is_classifier() {
+            return;
+        }
+        let (units, len) = (l.out_units(), l.unit_len());
+        let mut order: Vec<usize> = (0..units).collect();
+        let w = l.weight().value.data();
+        let norm = |r: usize| {
+            w[r * len..(r + 1) * len]
+                .iter()
+                .map(|v| v.abs())
+                .sum::<f32>()
+        };
+        order.sort_by(|&a, &b| norm(a).total_cmp(&norm(b)));
+        let mut keep = vec![1.0f32; units];
+        for &r in &order[..units / 2] {
+            keep[r] = 0.0;
+        }
+        l.weight_mut()
+            .set_mask(Tensor::from_fn(&[units, len], |i| keep[i / len]));
+        let row = Tensor::from_vec(vec![units], keep);
+        if let Some(b) = l.bias_mut() {
+            b.set_mask(row.clone());
+        }
+        for p in l.coupled_mut() {
+            p.set_mask(row.clone());
+        }
+    });
+    net.compact().expect("row-structured masks compact")
+}
+
+#[test]
+fn infer_is_bitwise_eval_forward_under_every_backend() {
+    let mut resnet = models::mini_resnet("be", (3, 16, 16), 10, 8, 2, 2);
+    let warm = Tensor::rand_uniform(&[4, 3, 16, 16], -1.0, 1.0, &mut Rng::new(71));
+    resnet.forward(&warm, Mode::Train);
+    let nets = [
+        ("mini_resnet", resnet),
+        ("WT 95% + CSR", wt_pruned_with_csr()),
+        ("FT + compact", ft_pruned_compacted()),
+    ];
+    for (name, net) in nets {
+        let mut shape = vec![5];
+        shape.extend_from_slice(net.input_shape());
+        let x = Tensor::rand_uniform(&shape, -1.0, 1.0, &mut Rng::new(72));
+        for be in all_backends() {
+            let mut fwd = net.clone();
+            let (inferred, forward) =
+                with_backend(*be, || (net.infer(&x), fwd.forward(&x, Mode::Eval)));
+            assert_eq!(
+                bits(&inferred),
+                bits(&forward),
+                "{name}: infer differs from forward(Eval) on the '{}' backend",
+                be.name()
+            );
+        }
     }
 }

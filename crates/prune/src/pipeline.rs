@@ -302,7 +302,7 @@ mod tests {
         );
         assert_eq!(outcome.history.len(), 2);
         assert!(outcome.history[0].prune_ratio < outcome.history[1].prune_ratio);
-        let mut pruned = outcome.network;
+        let pruned = outcome.network;
         let acc = pruned.accuracy(&x, &y, 64);
         assert!(acc > 0.9, "pruned accuracy collapsed to {acc}");
 
@@ -325,8 +325,10 @@ mod tests {
         let a = pipeline.run(&parent, &WeightThresholding, 0.5, &x, &y, &ctx);
         let b = pipeline.run(&parent, &WeightThresholding, 0.5, &x, &y, &ctx);
         assert_eq!(a.prune_ratio, b.prune_ratio);
-        let (mut na, mut nb) = (a.network, b.network);
-        assert_eq!(na.accuracy(&x, &y, 64), nb.accuracy(&x, &y, 64));
+        assert_eq!(
+            a.network.accuracy(&x, &y, 64),
+            b.network.accuracy(&x, &y, 64)
+        );
     }
 
     #[test]
@@ -374,8 +376,10 @@ mod tests {
             let pipeline = PruneRetrain::new(2, cfg.clone()).with_mode(mode);
             let outcome = pipeline.run(&parent, &WeightThresholding, 0.7, &x, &y, &ctx);
             assert!((outcome.prune_ratio - 0.7).abs() < 0.02, "{mode:?}");
-            let mut net = outcome.network;
-            assert!(net.accuracy(&x, &y, 64) > 0.6, "{mode:?} collapsed");
+            assert!(
+                outcome.network.accuracy(&x, &y, 64) > 0.6,
+                "{mode:?} collapsed"
+            );
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Deadline-driven micro-batching: the bounded job queue that coalesces
 //! single-sample requests into forward-pass batches.
 //!
-//! Connection handlers [`push`](JobQueue::push) one [`Job`] per request;
-//! worker threads call [`next_batch`](JobQueue::next_batch), which blocks
-//! until a job arrives, then keeps the *leader*'s model and gathers more
-//! jobs for the same model until either `max_batch` is reached or the
+//! The reactor pushes one job per request; a worker taking its next batch
+//! blocks until a job arrives, then keeps the *leader*'s model and gathers
+//! more jobs for the same model until either `max_batch` is reached or the
 //! batching deadline expires. The deadline is measured on the injected
 //! [`Clock`] (the workspace's one sanctioned time seam), so the batcher
 //! itself never reads a wall clock.
@@ -14,114 +13,41 @@
 //! letting connections pile up behind an unbounded buffer.
 
 use crate::protocol::Response;
+use crate::reactor::CompletionQueue;
 use pv_obs::Clock;
 use pv_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Write-once rendezvous between a connection handler and the worker that
-/// serves its request: the handler parks in [`ResponseSlot::wait`], the
-/// worker delivers through [`ResponseSlot::fulfill`].
-#[derive(Clone)]
-pub struct ResponseSlot {
-    cell: Arc<(Mutex<Option<Response>>, Condvar)>,
-}
-
-impl Default for ResponseSlot {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ResponseSlot {
-    /// An empty slot.
-    pub fn new() -> Self {
-        Self {
-            cell: Arc::new((Mutex::new(None), Condvar::new())),
-        }
-    }
-
-    /// Delivers the response (first delivery wins; later ones are dropped,
-    /// which keeps double-fulfillment harmless during fault handling).
-    pub fn fulfill(&self, resp: Response) {
-        let (lock, cond) = &*self.cell;
-        let mut guard = recover(lock.lock());
-        if guard.is_none() {
-            *guard = Some(resp);
-        }
-        cond.notify_all();
-    }
-
-    /// Blocks until the response is delivered.
-    pub fn wait(&self) -> Response {
-        let (lock, cond) = &*self.cell;
-        let mut guard = recover(lock.lock());
-        loop {
-            if let Some(resp) = guard.take() {
-                return resp;
-            }
-            guard = recover(cond.wait(guard));
-        }
-    }
-}
-
-/// Where a worker delivers a finished response.
-///
-/// The thread-per-connection handlers of PR 5 parked on a
-/// [`ResponseSlot`]; the PR 10 reactor cannot block, so its jobs carry a
-/// connection token + sequence number and the worker pushes the response
-/// onto the reactor's [`CompletionQueue`](crate::reactor::CompletionQueue)
-/// instead (which wakes the event loop). Both delivery paths are
-/// non-blocking for the worker.
-pub enum Reply {
-    /// Synchronous rendezvous: the requester blocks in
-    /// [`ResponseSlot::wait`] (used by tests and in-process callers).
-    Slot(ResponseSlot),
-    /// Event-loop delivery: push the response onto the reactor's
-    /// completion queue under `(conn, seq)` and wake the reactor.
-    Reactor {
-        /// Token of the connection awaiting this response.
-        conn: u64,
-        /// The connection's sequence number for the pending reply slot.
-        seq: u64,
-        /// The owning reactor's completion queue.
-        completions: Arc<crate::reactor::CompletionQueue>,
-    },
+/// Where a worker delivers a finished response: connection `conn`'s reply
+/// slot `seq`, through the reactor's completion queue (which wakes the
+/// event loop). Delivery never blocks the worker.
+pub(crate) struct Reply {
+    /// Token of the connection awaiting this response.
+    pub(crate) conn: u64,
+    /// The connection's sequence number for the pending reply slot.
+    pub(crate) seq: u64,
+    /// The owning reactor's completion queue.
+    pub(crate) completions: Arc<CompletionQueue>,
 }
 
 impl Reply {
-    /// Delivers the response to whichever destination this reply targets.
-    pub fn deliver(&self, resp: Response) {
-        match self {
-            Reply::Slot(slot) => slot.fulfill(resp),
-            Reply::Reactor {
-                conn,
-                seq,
-                completions,
-            } => completions.deliver(*conn, *seq, resp),
-        }
-    }
-}
-
-impl std::fmt::Debug for Reply {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Reply::Slot(_) => write!(f, "Reply::Slot"),
-            Reply::Reactor { conn, seq, .. } => write!(f, "Reply::Reactor({conn}/{seq})"),
-        }
+    /// Queues the response for the reactor.
+    pub(crate) fn deliver(&self, resp: Response) {
+        self.completions.deliver(self.conn, self.seq, resp);
     }
 }
 
 /// One queued request: the model to run, the single-sample input, and the
 /// destination the answer goes to.
-pub struct Job {
+pub(crate) struct Job {
     /// Registry id of the requested model.
-    pub model: String,
+    pub(crate) model: String,
     /// Per-sample input tensor (no batch axis).
-    pub input: Tensor,
+    pub(crate) input: Tensor,
     /// Where the worker delivers the response.
-    pub reply: Reply,
+    pub(crate) reply: Reply,
 }
 
 impl std::fmt::Debug for Job {
@@ -157,9 +83,9 @@ struct QueueState {
     stopping: bool,
 }
 
-/// The bounded, condvar-signalled job queue shared by connection handlers
-/// and workers (see module docs).
-pub struct JobQueue {
+/// The bounded, condvar-signalled job queue shared by the reactor and the
+/// workers (see module docs).
+pub(crate) struct JobQueue {
     state: Mutex<QueueState>,
     nonempty: Condvar,
     capacity: usize,
@@ -175,7 +101,7 @@ fn recover<T>(r: std::sync::LockResult<MutexGuard<'_, T>>) -> MutexGuard<'_, T> 
 
 impl JobQueue {
     /// An empty queue admitting at most `capacity` jobs.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -188,9 +114,7 @@ impl JobQueue {
 
     /// Enqueues a job, or returns it to the caller when the queue is full
     /// or the server is stopping (the caller answers `Busy`).
-    #[allow(clippy::result_large_err)]
-    // pv-analyze: allow(fallible-api-error) -- backpressure hands the rejected Job back so the caller can answer Busy without cloning the input tensor
-    pub fn push(&self, job: Job) -> Result<(), Job> {
+    pub(crate) fn push(&self, job: Job) -> Result<(), Job> {
         let mut st = recover(self.state.lock());
         if st.stopping || st.jobs.len() >= self.capacity {
             return Err(job);
@@ -201,16 +125,11 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Current queue depth (diagnostics only — racy by nature).
-    pub fn depth(&self) -> usize {
-        recover(self.state.lock()).jobs.len()
-    }
-
     /// Blocks for the next batch: one leader job plus up to
     /// `cfg.max_batch - 1` more jobs for the same model, gathered until
     /// the deadline measured on `clock` expires. Returns `None` once the
     /// queue is stopped *and* drained.
-    pub fn next_batch(&self, clock: &dyn Clock, cfg: &BatchConfig) -> Option<Vec<Job>> {
+    pub(crate) fn next_batch(&self, clock: &dyn Clock, cfg: &BatchConfig) -> Option<Vec<Job>> {
         let max_batch = cfg.max_batch.max(1);
         let mut st = recover(self.state.lock());
         loop {
@@ -251,7 +170,7 @@ impl JobQueue {
 
     /// Marks the queue as stopping and wakes every waiter. Queued jobs
     /// still drain; new pushes are rejected.
-    pub fn stop(&self) {
+    pub(crate) fn stop(&self) {
         recover(self.state.lock()).stopping = true;
         self.nonempty.notify_all();
     }
@@ -277,24 +196,22 @@ fn take_matching(st: &mut QueueState, batch: &mut Vec<Job>, max: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Status;
     use pv_obs::FakeClock;
+    use std::os::unix::net::UnixStream;
 
+    /// A job for `model`. These tests never answer their jobs, so each
+    /// reply points at a completion queue nobody reads.
     fn job(model: &str) -> Job {
+        let (waker, _) = UnixStream::pair().expect("socketpair");
         Job {
             model: model.into(),
             input: Tensor::zeros(&[2]),
-            reply: Reply::Slot(ResponseSlot::new()),
+            reply: Reply {
+                conn: 0,
+                seq: 0,
+                completions: Arc::new(CompletionQueue::new(waker)),
+            },
         }
-    }
-
-    #[test]
-    fn slot_rendezvous() {
-        let slot = ResponseSlot::new();
-        slot.fulfill(Response::failure(Status::Busy, "x"));
-        // a second delivery is dropped, first wins
-        slot.fulfill(Response::failure(Status::Internal, "y"));
-        assert_eq!(slot.wait().status, Status::Busy);
     }
 
     #[test]
@@ -303,7 +220,7 @@ mod tests {
         assert!(q.push(job("m")).is_ok());
         assert!(q.push(job("m")).is_ok());
         assert!(q.push(job("m")).is_err(), "third push must bounce");
-        assert_eq!(q.depth(), 2);
+        assert_eq!(recover(q.state.lock()).jobs.len(), 2);
     }
 
     #[test]

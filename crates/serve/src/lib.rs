@@ -11,8 +11,9 @@
 //! pruned networks can be exercised as a live inference workload:
 //!
 //! * [`ModelRegistry`] — named, shape-validated networks admitted from
-//!   fresh builds or PVCK checkpoints; [`SharedRegistry`] wraps it in an
-//!   atomically swappable, generation-counted snapshot for hot reload;
+//!   fresh builds or PVCK checkpoints; the server keeps it as an
+//!   atomically swappable, generation-counted snapshot for hot reload,
+//!   whose networks every worker borrows;
 //! * [`protocol`] — PVSR/v1, a length-prefixed binary request/response
 //!   format with magic, version, and CRC-32 integrity (the wire sibling
 //!   of the PVCK file format), plus `reload` / `drain` control frames;
@@ -30,7 +31,7 @@
 //!   throughput, latency percentiles, and mean batch size.
 //!
 //! Time is injected (`pv_obs::Clock`), threads are created only through
-//! the audited [`pool`] seam, numeric work runs on the pv-par kernels
+//! the audited `pool` seam, numeric work runs on the pv-par kernels
 //! (bitwise identical for any `PV_NUM_THREADS`), and every fallible path
 //! reports the workspace-wide [`pv_tensor::Error`]. The only `unsafe` in
 //! the crate is the audited epoll FFI in `sys` (see `DESIGN.md` §16);
@@ -66,7 +67,7 @@
 pub mod batcher;
 pub mod client;
 mod conn;
-pub mod pool;
+mod pool;
 pub mod protocol;
 pub mod reactor;
 pub mod registry;
@@ -74,12 +75,11 @@ pub mod server;
 #[allow(unsafe_code)] // the one audited FFI seam: raw epoll syscalls
 mod sys;
 
-pub use batcher::{BatchConfig, Reply};
+pub use batcher::BatchConfig;
 pub use client::{loadgen, ArrivalMode, Client, LoadgenConfig, LoadgenReport};
 pub use protocol::{
     ControlOp, ControlRequest, ControlResponse, Request, Response, Status, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
 };
-pub use reactor::CompletionQueue;
-pub use registry::{ModelEntry, ModelRegistry, SharedRegistry};
+pub use registry::ModelRegistry;
 pub use server::{serve, ReloadFn, ServerConfig, ServerHandle};

@@ -6,12 +6,12 @@
 //! * the **reactor thread** (this module) accepts connections, pumps
 //!   nonblocking sockets, reassembles PVSR frames through the
 //!   per-connection state machines (`conn` module), runs admission
-//!   (model lookup + shape check against the current [`SharedRegistry`]
-//!   snapshot), and pushes accepted jobs into the bounded `JobQueue`.
+//!   (model lookup + shape check against the current registry snapshot),
+//!   and pushes accepted jobs into the bounded job queue.
 //!   It never executes a forward pass and never blocks on a socket;
 //! * **worker threads** (`server` module) pull batches, execute them,
-//!   and hand each response back through the [`CompletionQueue`],
-//!   which wakes the reactor via a loopback socketpair;
+//!   and hand each response back through the completion queue, which
+//!   wakes the reactor via a loopback socketpair;
 //! * the reactor matches completions to their per-connection reply slots
 //!   and writes response frames out in request order.
 //!
@@ -72,15 +72,9 @@ struct Completion {
 /// [`deliver`](CompletionQueue::deliver) never blocks: the lock is held
 /// only for a push, and the wake write is nonblocking (a full pipe means
 /// a wake-up is already pending, which is all the reactor needs).
-pub struct CompletionQueue {
+pub(crate) struct CompletionQueue {
     inner: Mutex<Vec<Completion>>,
     waker: UnixStream,
-}
-
-impl std::fmt::Debug for CompletionQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CompletionQueue")
-    }
 }
 
 impl CompletionQueue {
@@ -94,7 +88,7 @@ impl CompletionQueue {
 
     /// Queues a response for connection `conn`'s reply slot `seq` and
     /// wakes the reactor.
-    pub fn deliver(&self, conn: u64, seq: u64, resp: Response) {
+    pub(crate) fn deliver(&self, conn: u64, seq: u64, resp: Response) {
         {
             let mut batch = self
                 .inner
@@ -476,7 +470,7 @@ impl Reactor {
         let job = Job {
             model: req.model,
             input: req.input,
-            reply: Reply::Reactor {
+            reply: Reply {
                 conn: token,
                 seq,
                 completions,

@@ -2,8 +2,8 @@
 //! serving.
 //!
 //! A registry is assembled once at startup (from freshly built networks
-//! or from PVCK checkpoints) and then becomes an immutable snapshot that
-//! worker threads clone their private networks from. Admission is
+//! or from PVCK checkpoints) and then becomes an immutable snapshot whose
+//! networks every worker thread borrows for inference. Admission is
 //! guarded: every network must pass the static shape checker
 //! ([`Network::infer_shapes`]) before it can be served, so a model that
 //! cannot propagate its own declared input shape to its class count is
@@ -28,19 +28,11 @@ use std::sync::{Arc, Mutex};
 /// override (workers honor it per batch; `None` follows the process
 /// default).
 #[derive(Clone)]
-pub struct ModelEntry {
+pub(crate) struct ModelEntry {
     /// The shape-validated network.
-    pub net: Network,
+    pub(crate) net: Network,
     /// Kernel backend this model's forward passes must run on, if pinned.
-    pub backend: Option<&'static dyn Backend>,
-}
-
-impl std::fmt::Debug for ModelEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModelEntry")
-            .field("backend", &self.backend.map(|b| b.name()))
-            .finish_non_exhaustive()
-    }
+    pub(crate) backend: Option<&'static dyn Backend>,
 }
 
 /// A named collection of serveable networks (see module docs).
@@ -122,6 +114,11 @@ impl ModelRegistry {
         self.models.get(id).map(|e| &e.net)
     }
 
+    /// Looks up a model and its pinned backend by id.
+    pub(crate) fn entry(&self, id: &str) -> Option<&ModelEntry> {
+        self.models.get(id)
+    }
+
     /// The declared per-sample input shape of a model, if registered.
     pub fn input_shape(&self, id: &str) -> Option<&[usize]> {
         self.models.get(id).map(|e| e.net.input_shape())
@@ -131,9 +128,8 @@ impl ModelRegistry {
     ///
     /// Pinning the `sparse` backend also builds CSR side-cars for every
     /// weight tensor at or below [`pv_tensor::DEFAULT_MAX_DENSITY`] right
-    /// here, at admission time — worker threads clone the entry (side-cars
-    /// are `Arc`-shared) and serve without ever paying the scan on the
-    /// request path.
+    /// here, at admission time — worker threads borrow the entry and serve
+    /// without ever paying the scan on the request path.
     ///
     /// # Errors
     ///
@@ -162,13 +158,6 @@ impl ModelRegistry {
             .and_then(|e| e.backend)
             .map(|b| b.name())
     }
-
-    /// A private, mutable clone of every model entry — what each worker
-    /// thread takes at startup (eval-mode forward is pure, so clones stay
-    /// interchangeable forever).
-    pub fn clone_models(&self) -> BTreeMap<String, ModelEntry> {
-        self.models.clone()
-    }
 }
 
 /// The hot-swappable registry shared by the reactor and the workers: an
@@ -179,22 +168,15 @@ impl ModelRegistry {
 /// off the event loop) and bumps the generation; it never mutates the
 /// snapshot in place. Readers take the `Arc` and are immune to later
 /// swaps, which is exactly what makes hot reload safe for in-flight
-/// requests: a batch admitted against generation *N* executes on a worker
-/// clone of generation *N*'s (or a later generation's) models, and either
-/// answer is a bitwise-correct forward pass of a fully admitted model.
-/// Workers poll [`generation`](SharedRegistry::generation) at batch
-/// boundaries and re-clone when it moved, so traffic flips to the new
-/// models within one batch without any request ever seeing a half-loaded
-/// registry.
-pub struct SharedRegistry {
+/// requests: a batch admitted against generation *N* executes on
+/// generation *N*'s (or a later generation's) snapshot, and either answer
+/// is a bitwise-correct forward pass of a fully admitted model. Workers
+/// take the current snapshot at every batch boundary, so traffic flips to
+/// the new models within one batch without any request ever seeing a
+/// half-loaded registry.
+pub(crate) struct SharedRegistry {
     snapshot: Mutex<Arc<ModelRegistry>>,
     generation: AtomicU64,
-}
-
-impl std::fmt::Debug for SharedRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SharedRegistry(generation {})", self.generation())
-    }
 }
 
 impl SharedRegistry {
@@ -290,9 +272,10 @@ mod tests {
         assert_eq!(reg.backend_name("b"), None);
         let err = reg.set_backend("missing", &pv_tensor::PACKED).unwrap_err();
         assert!(matches!(err, Error::Serve(_)), "{err:?}");
-        let clones = reg.clone_models();
-        assert_eq!(clones["a"].backend.map(|b| b.name()), Some("scalar"));
-        assert!(clones["b"].backend.is_none());
+        // workers read the pin from the entry they run the batch on
+        let pinned = |id: &str| reg.entry(id).and_then(|e| e.backend).map(|b| b.name());
+        assert_eq!(pinned("a"), Some("scalar"));
+        assert_eq!(pinned("b"), None);
     }
 
     #[test]
@@ -311,18 +294,15 @@ mod tests {
         reg.set_backend("s", &pv_tensor::SPARSE).expect("known id");
         assert_eq!(reg.backend_name("s"), Some("sparse"));
 
-        // worker clones share the Arc'd side-car built at admission
-        let mut clones = reg.clone_models();
+        // the admitted network carries the side-car workers borrow (the
+        // copy made here to visit it shares the same Arc)
+        let mut admitted = reg.get("s").expect("admitted").clone();
         let mut with_sidecar = Vec::new();
-        clones
-            .get_mut("s")
-            .expect("cloned entry")
-            .net
-            .visit_params_named(&mut |name, p| {
-                if p.value.csr().is_some() {
-                    with_sidecar.push(name.to_string());
-                }
-            });
+        admitted.visit_params_named(&mut |name, p| {
+            if p.value.csr().is_some() {
+                with_sidecar.push(name.to_string());
+            }
+        });
         assert_eq!(with_sidecar, vec!["fc0.weight"]);
     }
 

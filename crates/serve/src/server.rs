@@ -6,24 +6,25 @@
 //! 1. the **reactor** thread ([`crate::reactor`]) accepts connections
 //!    nonblockingly, applies the connection cap with an explicit `Busy`,
 //!    reassembles PVSR frames through per-connection state machines,
-//!    validates model id and payload shape against the current
-//!    [`SharedRegistry`] snapshot, and pushes a [`Job`] into the bounded
-//!    [`JobQueue`] — answering `Busy` when the queue rejects it and
-//!    `BadRequest` / `UnknownModel` without ever touching a worker;
+//!    validates model id and payload shape against the current registry
+//!    snapshot, and pushes a job into the bounded job queue — answering
+//!    `Busy` when the queue rejects it and `BadRequest` / `UnknownModel`
+//!    without ever touching a worker;
 //! 2. a **worker** thread coalesces same-model jobs into one forward
-//!    batch (deadline-driven, see [`crate::batcher`]), executes it on its
-//!    private network clones, and delivers per-row logits back through
-//!    the reactor's completion queue;
+//!    batch (deadline-driven, see [`crate::batcher`]), runs it through
+//!    `Network::infer` on the registry snapshot current at that batch
+//!    boundary, and delivers per-row logits back through the reactor's
+//!    completion queue;
 //! 3. the reactor writes each response frame in request order as the
 //!    socket accepts bytes.
 //!
 //! A panicking worker is caught at the batch boundary: its in-flight
-//! batch fails with `Internal`, the worker re-clones its networks from
-//! the registry snapshot (discarding any half-updated activation state),
-//! and the pool keeps serving — one poisoned batch never becomes a dead
-//! server. Workers also watch the registry **generation**: after a hot
-//! reload swaps the registry, each worker re-clones at its next batch
-//! boundary, so traffic flips to the new model set without dropping any
+//! batch fails with `Internal` and the pool keeps serving — one poisoned
+//! batch never becomes a dead server. Workers share the registry's
+//! networks instead of copying them: inference takes `&Network` and
+//! writes nothing, so a panic leaves nothing to repair, and after a hot
+//! reload swaps the registry each worker runs its next batch on the new
+//! snapshot, flipping traffic to the new model set without dropping any
 //! in-flight request.
 
 use crate::batcher::{BatchConfig, Job, JobQueue};
@@ -31,7 +32,6 @@ use crate::pool;
 use crate::protocol::{Response, Status};
 use crate::reactor::{run_reload, CompletionQueue, Lifecycle, Reactor};
 use crate::registry::{ModelRegistry, SharedRegistry};
-use pv_nn::Mode;
 use pv_obs::Clock;
 use pv_tensor::error::Result;
 use pv_tensor::{Error, Tensor};
@@ -280,23 +280,19 @@ pub fn serve(
 }
 
 /// One worker: pull a batch, execute it behind the fault boundary,
-/// deliver per-row logits through each job's [`crate::batcher::Reply`].
+/// deliver per-row logits through each job's reply.
 fn worker_loop(queue: &JobQueue, shared: &SharedRegistry, cfg: &ServerConfig, clock: &dyn Clock) {
-    let mut generation = shared.generation();
-    let mut models = shared.snapshot().clone_models();
     while let Some(batch) = queue.next_batch(clock, &cfg.batch) {
-        // hot reload: pick up the swapped registry at a batch boundary —
-        // never mid-batch, so each batch runs on one coherent model set
-        let current = shared.generation();
-        if current != generation {
-            generation = current;
-            models = shared.snapshot().clone_models();
-            pv_obs::counter_add("serve/worker_refreshes", 1.0);
-        }
+        // hot reload: the snapshot is taken at a batch boundary — never
+        // mid-batch — so each batch runs on one coherent model set
+        let models = shared.snapshot();
         pv_obs::histogram_ns("serve/batch_size", batch.len() as u64);
         let t0 = clock.now_ns();
+        // unwind-safe as asserted: inference borrows the shared networks
+        // and writes nothing, so a panic leaves no state for the next
+        // batch to see
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_batch(&mut models, &batch)
+            execute_batch(&models, &batch)
         }));
         pv_obs::histogram_ns("serve/batch_exec_ns", clock.now_ns().saturating_sub(t0));
         match outcome {
@@ -324,9 +320,6 @@ fn worker_loop(queue: &JobQueue, shared: &SharedRegistry, cfg: &ServerConfig, cl
                         "worker fault while executing batch",
                     ));
                 }
-                // discard potentially half-updated activation state: the
-                // registry snapshot is the clean source of truth
-                models = shared.snapshot().clone_models();
             }
         }
     }
@@ -334,14 +327,11 @@ fn worker_loop(queue: &JobQueue, shared: &SharedRegistry, cfg: &ServerConfig, cl
 
 /// Stacks a single-model batch, runs one forward pass, and splits the
 /// logits back into per-request rows.
-fn execute_batch(
-    models: &mut std::collections::BTreeMap<String, crate::registry::ModelEntry>,
-    batch: &[Job],
-) -> Result<Vec<Tensor>> {
+fn execute_batch(models: &ModelRegistry, batch: &[Job]) -> Result<Vec<Tensor>> {
     // pv-analyze: allow(lib-panic) -- next_batch never returns an empty batch
     let model_id = &batch.first().expect("non-empty batch").model;
     let entry = models
-        .get_mut(model_id)
+        .entry(model_id)
         .ok_or_else(|| Error::Serve(format!("model '{model_id}' vanished from the registry")))?;
     let sample_shape = batch[0].input.shape().to_vec();
     let mut shape = Vec::with_capacity(sample_shape.len() + 1);
@@ -356,10 +346,9 @@ fn execute_batch(
     // pass: the scope is thread-local, and kernels resolve their backend
     // on this worker thread before fanning out to pv-par workers, so the
     // override covers every kernel in the pass.
-    let net = &mut entry.net;
     let logits = match entry.backend {
-        Some(b) => pv_tensor::with_backend(b, || net.try_forward_batch(&stacked, Mode::Eval))?,
-        None => net.try_forward_batch(&stacked, Mode::Eval)?,
+        Some(b) => pv_tensor::with_backend(b, || entry.net.try_infer_batch(&stacked))?,
+        None => entry.net.try_infer_batch(&stacked)?,
     };
     let row_shape: Vec<usize> = logits.shape()[1..].to_vec();
     Ok((0..batch.len())

@@ -2,13 +2,15 @@
 //!
 //! A small `std::thread::scope`-based runtime used by every hot path in the
 //! workspace: cache-blocked matmul, batched convolution, and the sweep-level
-//! loops in the evaluation layer. There is deliberately no work-stealing pool
-//! and no external dependency — work is split into **disjoint contiguous
-//! chunks**, each chunk is computed by exactly one thread with the same
-//! inner-loop order the serial code would use, and reductions combine fixed
-//! chunk partials in index order. Together those rules make every result
-//! **bitwise identical for any thread count**, which is what keeps the
-//! golden-RNG and determinism tests passing under `PV_NUM_THREADS=N`.
+//! loops in the evaluation layer, whose workers all borrow the same
+//! networks rather than copying them. There is deliberately no
+//! work-stealing pool and no external dependency — work is split into
+//! **disjoint contiguous chunks**, each chunk is computed by exactly one
+//! thread with the same inner-loop order the serial code would use, and
+//! reductions combine fixed chunk partials in index order. Together those
+//! rules make every result **bitwise identical for any thread count**,
+//! which is what keeps the golden-RNG and determinism tests passing under
+//! `PV_NUM_THREADS=N`.
 //!
 //! Worker count resolution, in priority order:
 //! 1. a programmatic override installed via [`set_thread_override`]
@@ -239,32 +241,18 @@ pub fn parallel_for_chunks_mut2<A, B, F>(
 
 /// Evaluates `f(i)` for `i in 0..n` and returns the results in index order,
 /// splitting contiguous index ranges across worker threads.
+///
+/// `f` is shared by reference (`Sync`), so workers read whatever it
+/// borrows in place: an evaluation sweep hands all of them the same
+/// `&Network`, with no per-worker copies.
 pub fn parallel_map<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    parallel_map_with(n, || (), |(), i| f(i))
-}
-
-/// Evaluates `f(&mut state, i)` for `i in 0..n` with one `init()`-created
-/// state per worker thread, returning results in index order.
-///
-/// The state is where callers park expensive per-worker scratch such as a
-/// cloned [`Network`](https://docs.rs/pv-nn) — each worker clones once and
-/// reuses it across its whole contiguous index range. Results depend only
-/// on `i` as long as `f` is pure given a fresh state, so thread count never
-/// changes the output.
-pub fn parallel_map_with<S, R, I, F>(n: usize, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
     let workers = num_threads().min(n);
     if workers <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
+        return (0..n).map(f).collect();
     }
     let per_worker = n.div_ceil(workers);
     let ranges: Vec<(usize, usize)> = (0..workers)
@@ -280,68 +268,12 @@ where
             .into_iter()
             .filter(|(lo, hi)| lo < hi)
             .map(|(lo, hi)| {
-                let (init, f) = (&init, &f);
-                s.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    let mut state = init();
-                    let part: Vec<R> = (lo..hi).map(|i| f(&mut state, i)).collect();
-                    IN_WORKER.with(|w| w.set(false));
-                    part
-                })
-            })
-            .collect();
-        for h in handles {
-            // pv-analyze: allow(hotpath-panic) -- propagating a worker panic preserves the original panic message
-            out.extend(h.join().expect("pv-par worker panicked"));
-        }
-    });
-    out
-}
-
-/// Evaluates `f(i, &mut items[i])` for every element and returns the
-/// results in index order, splitting `items` into contiguous per-worker
-/// sub-slices.
-pub fn parallel_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = num_threads().min(n);
-    if workers <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let per_worker = n.div_ceil(workers);
-    let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(workers);
-    let mut rest = items;
-    let mut next = 0;
-    while !rest.is_empty() {
-        let take = per_worker.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        parts.push((next, head));
-        next += take;
-        rest = tail;
-    }
-    let mut out: Vec<R> = Vec::with_capacity(n);
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "pv-par is the sanctioned home of scoped worker threads"
-    )]
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|(lo, part)| {
                 let f = &f;
                 s.spawn(move || {
                     IN_WORKER.with(|w| w.set(true));
-                    let res: Vec<R> = part
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(off, t)| f(lo + off, t))
-                        .collect();
+                    let part: Vec<R> = (lo..hi).map(f).collect();
                     IN_WORKER.with(|w| w.set(false));
-                    res
+                    part
                 })
             })
             .collect();
@@ -432,39 +364,6 @@ mod tests {
                 assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
             });
         }
-    }
-
-    #[test]
-    fn map_with_reuses_one_state_per_worker() {
-        with_override(4, || {
-            let inits = std::sync::atomic::AtomicUsize::new(0);
-            let out = parallel_map_with(
-                32,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    Vec::<usize>::new()
-                },
-                |scratch, i| {
-                    scratch.push(i);
-                    i
-                },
-            );
-            assert_eq!(out, (0..32).collect::<Vec<_>>());
-            assert!(inits.load(Ordering::Relaxed) <= 4);
-        });
-    }
-
-    #[test]
-    fn map_mut_passes_global_indices() {
-        with_override(3, || {
-            let mut items = vec![100usize; 10];
-            let out = parallel_map_mut(&mut items, |i, t| {
-                *t += i;
-                *t
-            });
-            assert_eq!(out, (0..10).map(|i| 100 + i).collect::<Vec<_>>());
-            assert_eq!(items, (0..10).map(|i| 100 + i).collect::<Vec<_>>());
-        });
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
     /// Cached CSR view of a sparse 2-D tensor, built on demand by
-    /// [`Tensor::ensure_csr`] and shared across clones (serving workers
-    /// clone model weights per thread; the `Arc` keeps that O(1)).
+    /// [`Tensor::ensure_csr`] and shared across clones through the `Arc`,
+    /// so copying a prepared network neither rebuilds nor duplicates it.
     /// Derived state: every mutation drops it, and it never participates
     /// in equality or serialization.
     csr: Option<std::sync::Arc<crate::sparse::Csr>>,

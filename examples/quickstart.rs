@@ -30,7 +30,7 @@ fn main() {
     for method in methods {
         let t0 = std::time::Instant::now();
         let mut family = build_family(&cfg, method.as_ref(), 0, None);
-        let parent_err = eval_error_pct(&mut family.parent, &family.test_set.clone());
+        let parent_err = eval_error_pct(&family.parent, &family.test_set.clone());
         println!(
             "[{}] parent test error: {parent_err:.2}%  (built in {:.1?})",
             method.name(),

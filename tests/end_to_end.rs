@@ -18,9 +18,9 @@ fn smoke_family() -> pruneval::StudyFamily {
 
 #[test]
 fn parent_learns_and_pruned_models_track_targets() {
-    let mut fam = smoke_family();
+    let fam = smoke_family();
     let test = fam.test_set.clone();
-    let parent_err = pruneval::eval_error_pct(&mut fam.parent, &test);
+    let parent_err = pruneval::eval_error_pct(&fam.parent, &test);
     assert!(parent_err < 30.0, "parent failed to learn ({parent_err}%)");
     // prune ratios increase monotonically and approach the schedule
     for pair in fam.pruned.windows(2) {
@@ -35,20 +35,13 @@ fn parent_learns_and_pruned_models_track_targets() {
 fn pruned_networks_are_functionally_closer_to_parent_than_separate() {
     // Section 4's headline: prediction agreement under noise is higher for
     // pruned children than for a separately trained network.
-    let mut fam = smoke_family();
+    let fam = smoke_family();
     let images = pruneval::inputs_for(&fam.parent, &fam.test_set.clone());
     let mut rng = Rng::new(3);
-    let first_pruned = &mut fam.pruned[0].network;
-    let sim_pruned = noise_similarity(&mut fam.parent, first_pruned, &images, 0.05, 3, &mut rng);
+    let first_pruned = &fam.pruned[0].network;
+    let sim_pruned = noise_similarity(&fam.parent, first_pruned, &images, 0.05, 3, &mut rng);
     let mut rng = Rng::new(3);
-    let sim_separate = noise_similarity(
-        &mut fam.parent,
-        &mut fam.separate,
-        &images,
-        0.05,
-        3,
-        &mut rng,
-    );
+    let sim_separate = noise_similarity(&fam.parent, &fam.separate, &images, 0.05, 3, &mut rng);
     assert!(
         sim_pruned.matching_predictions >= sim_separate.matching_predictions,
         "pruned {} vs separate {}",
@@ -72,18 +65,18 @@ fn heavy_shift_does_not_increase_prune_potential() {
 
 #[test]
 fn whole_pipeline_is_deterministic() {
-    let mut a = smoke_family();
-    let mut b = smoke_family();
+    let a = smoke_family();
+    let b = smoke_family();
     let test = a.test_set.clone();
     assert_eq!(
-        pruneval::eval_error_pct(&mut a.parent, &test),
-        pruneval::eval_error_pct(&mut b.parent, &test)
+        pruneval::eval_error_pct(&a.parent, &test),
+        pruneval::eval_error_pct(&b.parent, &test)
     );
-    for (pa, pb) in a.pruned.iter_mut().zip(&mut b.pruned) {
+    for (pa, pb) in a.pruned.iter().zip(&b.pruned) {
         assert_eq!(pa.achieved_ratio, pb.achieved_ratio);
         assert_eq!(
-            pruneval::eval_error_pct(&mut pa.network, &test),
-            pruneval::eval_error_pct(&mut pb.network, &test)
+            pruneval::eval_error_pct(&pa.network, &test),
+            pruneval::eval_error_pct(&pb.network, &test)
         );
     }
 }

@@ -23,13 +23,13 @@ fn robust_family_builds_and_differs_from_nominal() {
         severity: PAPER_SEVERITY,
     };
 
-    let mut nominal = build_family(&cfg, &WeightThresholding, 0, None);
-    let mut robustly = build_family(&cfg, &WeightThresholding, 0, Some(&robust));
+    let nominal = build_family(&cfg, &WeightThresholding, 0, None);
+    let robustly = build_family(&cfg, &WeightThresholding, 0, Some(&robust));
 
     // the augmentation must actually change the learned function
     let test = nominal.test_set.clone();
-    let e_nom = pruneval::eval_error_pct(&mut nominal.parent, &test);
-    let e_rob = pruneval::eval_error_pct(&mut robustly.parent, &test);
+    let e_nom = pruneval::eval_error_pct(&nominal.parent, &test);
+    let e_rob = pruneval::eval_error_pct(&robustly.parent, &test);
     assert_ne!(e_nom, e_rob, "augmentation had no effect at all");
     // and both still learn the task
     assert!(e_nom < 35.0, "nominal parent error {e_nom}%");
@@ -47,8 +47,8 @@ fn robust_training_helps_on_trained_corruptions() {
     };
     let (train_dists, _) = split_distributions(&split);
 
-    let mut nominal = build_family(&cfg, &WeightThresholding, 0, None);
-    let mut robustly = build_family(&cfg, &WeightThresholding, 0, Some(&robust));
+    let nominal = build_family(&cfg, &WeightThresholding, 0, None);
+    let robustly = build_family(&cfg, &WeightThresholding, 0, Some(&robust));
 
     // averaged over the corruption distributions seen in training, the
     // robust parent should do at least as well as the nominal parent
@@ -57,8 +57,8 @@ fn robust_training_helps_on_trained_corruptions() {
     let mut rob_err = 0.0;
     for d in corr_dists {
         let ds = d.realize(&cfg.task, &nominal.test_set, 5);
-        nom_err += pruneval::eval_error_pct(&mut nominal.parent, &ds);
-        rob_err += pruneval::eval_error_pct(&mut robustly.parent, &ds);
+        nom_err += pruneval::eval_error_pct(&nominal.parent, &ds);
+        rob_err += pruneval::eval_error_pct(&robustly.parent, &ds);
     }
     // allow a small tolerance: at this scale augmentation halves the
     // effective clean-sample count (sum over 8 corruption distributions)

@@ -138,14 +138,19 @@ fn unknown_model_and_bad_shape_are_typed_rejections() {
     handle.shutdown();
 }
 
-/// A layer that passes shape inference but panics in `forward`, so a
-/// model built from it drives the worker into its fault boundary.
+/// A layer that passes shape inference but panics in `forward` and
+/// `infer`, so a model built from it drives the worker into its fault
+/// boundary.
 #[derive(Clone)]
 struct PanickingLayer;
 
 impl Layer for PanickingLayer {
     fn forward(&mut self, _x: &Tensor, _mode: Mode) -> Tensor {
         panic!("injected fault in forward");
+    }
+
+    fn infer(&self, _x: &Tensor) -> Tensor {
+        panic!("injected fault in infer");
     }
 
     fn backward(&mut self, _grad_out: &Tensor) -> Tensor {

@@ -1,11 +1,12 @@
 //! Static shape checker vs. reality: for every zoo preset the shapes
 //! propagated by `Network::infer_shapes` must agree with an actual forward
 //! pass, and impossible inputs must be rejected *statically* (no
-//! activations allocated).
+//! activations allocated). Every preset also checks that `Network::infer`
+//! equals the eval-mode forward bit for bit.
 
 use pruneval::{preset, Scale};
-use pv_nn::models;
-use pv_tensor::Error;
+use pv_nn::{models, Mode, Network};
+use pv_tensor::{Error, Rng, Tensor};
 
 const PRESETS: &[&str] = &[
     "resnet20",
@@ -18,6 +19,23 @@ const PRESETS: &[&str] = &[
     "resnet101",
     "mlp",
 ];
+
+/// `Network::infer` must return the bits of `forward(.., Mode::Eval)`,
+/// negative zeros included. One training-mode pass first moves the
+/// batch-norm running statistics off their defaults, so eval-mode
+/// normalization is not the identity.
+fn assert_infer_is_eval_forward(name: &str, net: &mut Network) {
+    let mut shape = vec![4];
+    shape.extend_from_slice(net.input_shape());
+    let x = Tensor::rand_uniform(&shape, -1.0, 1.0, &mut Rng::new(42));
+    net.forward(&x, Mode::Train);
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&net.infer(&x)),
+        bits(&net.forward(&x, Mode::Eval)),
+        "{name}: infer differs from forward(Eval)"
+    );
+}
 
 #[test]
 fn every_preset_infers_shapes_matching_forward() {
@@ -43,6 +61,7 @@ fn every_preset_infers_shapes_matching_forward() {
             "{name}: inferred vs observed output shape"
         );
         assert_eq!(inferred[0], net.num_classes(), "{name}: class count");
+        assert_infer_is_eval_forward(name, &mut net);
     }
 }
 
@@ -54,6 +73,7 @@ fn segnet_inference_covers_dense_prediction_heads() {
     assert_eq!(inferred, vec![3, 8, 8]);
     let logits = models::smoke_forward(&mut net, 2, 7);
     assert_eq!(&logits.shape()[1..], inferred.as_slice());
+    assert_infer_is_eval_forward("mini_segnet", &mut net);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! function distance, and prune-accuracy curves must be **bitwise
 //! identical** at `PV_NUM_THREADS=1` and any higher thread count.
 
-use pruneval::experiment::{build_family, StudyFamily};
+use pruneval::experiment::build_family;
 use pruneval::{ArchSpec, Distribution, ExperimentConfig};
 use pv_data::TaskSpec;
 use pv_metrics::{confidence_heatmap, noise_similarity, SelectionMode};
@@ -65,11 +65,8 @@ fn network_forward_and_accuracy_are_thread_count_invariant() {
         let mut n = net.clone();
         n.forward(&x, Mode::Eval)
     });
-    assert_thread_count_invariant(|| {
-        let mut n = net.clone();
-        // batch of 2 forces the multi-batch parallel path
-        n.accuracy(&x, &labels, 2).to_bits()
-    });
+    // batch of 2 forces the multi-batch parallel path
+    assert_thread_count_invariant(|| net.accuracy(&x, &labels, 2).to_bits());
 }
 
 #[test]
@@ -91,8 +88,7 @@ fn noise_similarity_is_thread_count_invariant() {
     let mut rng = Rng::new(17);
     let images = Tensor::rand_uniform(&[24, 12], 0.0, 1.0, &mut rng);
     assert_thread_count_invariant(|| {
-        let (mut wa, mut wb) = (a.clone(), b.clone());
-        let sim = noise_similarity(&mut wa, &mut wb, &images, 0.05, 4, &mut Rng::new(5));
+        let sim = noise_similarity(&a, &b, &images, 0.05, 4, &mut Rng::new(5));
         (sim.matching_predictions.to_bits(), sim.softmax_l2.to_bits())
     });
 }
@@ -103,18 +99,9 @@ fn confidence_heatmap_is_thread_count_invariant() {
     let mut rng = Rng::new(23);
     let images = Tensor::rand_uniform(&[5, 16], 0.0, 1.0, &mut rng);
     let labels = vec![0, 1, 2, 0, 1];
+    let models_vec = vec![("a".to_string(), base.clone()), ("b".to_string(), base)];
     assert_thread_count_invariant(|| {
-        let mut models_vec = vec![
-            ("a".to_string(), base.clone()),
-            ("b".to_string(), base.clone()),
-        ];
-        let hm = confidence_heatmap(
-            &mut models_vec,
-            &images,
-            &labels,
-            0.25,
-            SelectionMode::OneShot,
-        );
+        let hm = confidence_heatmap(&models_vec, &images, &labels, 0.25, SelectionMode::OneShot);
         hm.matrix
             .iter()
             .map(|row| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
@@ -134,8 +121,7 @@ fn prune_curves_are_thread_count_invariant() {
         Distribution::AltTestSet,
     ];
     assert_thread_count_invariant(|| {
-        let mut f: StudyFamily = fam.clone();
-        f.curves_on(&dists, 9)
+        fam.curves_on(&dists, 9)
             .into_iter()
             .map(|c| {
                 (
